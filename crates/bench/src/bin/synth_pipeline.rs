@@ -1,20 +1,19 @@
 //! Benchmarks the synthesis pipeline with and without the canonical
-//! realization cache, ILP pre-filters, and warming threads, and writes the
+//! realization cache and the ILP pre-filters, and writes the
 //! results to `BENCH_synthesis.json` — including a per-tier solver-stage
 //! breakdown (Chow merging, integer fast path, rational fallbacks) so
 //! speedups are attributable to a stage.
 //!
 //! Two configurations are compared over a mixed circuit suite:
 //!
-//! * **serial**: `use_cache = false`, `num_threads = 1`,
-//!   `use_tier0 = false` — the pre-cache, pre-oracle flow, every
-//!   threshold query solved by the ILP in its original order;
-//! * **cached**: `use_cache = true`, `num_threads = 4`, `use_tier0 =
-//!   true` — the full pipeline: the tier-0 truth-table oracle answers
-//!   every small-support query, the canonical cache with the structure
-//!   pre-filter and the level-parallel warming pass covers the rest (the
-//!   cache machinery disengages below `parallel_min_nodes`, so c17-sized
-//!   circuits run the serial flow in both columns).
+//! * **serial**: `use_cache = false`, `use_tier0 = false` — the
+//!   pre-cache, pre-oracle flow, every threshold query solved by the ILP
+//!   in its original order;
+//! * **cached**: `use_cache = true`, `use_tier0 = true` — the full
+//!   pipeline: the tier-0 truth-table oracle answers every small-support
+//!   query, the canonical cache with the structure pre-filter covers the
+//!   rest (the cache disengages below `parallel_min_nodes`, so c17-sized
+//!   circuits run the uncached flow in both columns).
 //!
 //! Both runs of every circuit are checked functionally equivalent against
 //! the source network before being timed, and the run doubles as a
@@ -364,13 +363,12 @@ fn measure_tier05_large(samples: usize) -> (Json, usize, usize, f64, f64) {
             ),
         ),
     ];
-    // Cache off, one thread: the realization cache would absorb every
+    // Cache off: the realization cache would absorb every
     // duplicate query and shrink the baseline to a handful of solves, so
     // the leg runs the serial flow where each support-6/7 query reaches
     // the solver stack and the tier's cut is measured on the full stream.
     let on_config = TelsConfig {
         use_cache: false,
-        num_threads: 1,
         psi: 7,
         ..TelsConfig::default()
     };
@@ -518,10 +516,7 @@ fn measure_scaling() -> (Json, f64, f64) {
     let prepared = script_algebraic(&parsed);
     let factor_ms = start.elapsed().as_secs_f64() * 1e3;
 
-    let config = TelsConfig {
-        num_threads: 4,
-        ..TelsConfig::default()
-    };
+    let config = TelsConfig::default();
     let start = Instant::now();
     let (tn, stats) =
         synthesize_with_stats(&prepared, &config).expect("synthesize scaling circuit");
@@ -669,14 +664,12 @@ fn main() {
     for (name, net, psi) in &circuits {
         let serial_config = TelsConfig {
             use_cache: false,
-            num_threads: 1,
             use_tier0: false,
             psi: *psi,
             ..TelsConfig::default()
         };
         let cached_config = TelsConfig {
             use_cache: true,
-            num_threads: 4,
             psi: *psi,
             ..TelsConfig::default()
         };
@@ -713,8 +706,8 @@ fn main() {
         );
         // Consistency gates: both configurations must emit the same gate
         // count and issue the same number of threshold queries (counters
-        // thread-merge and tally identically on both paths, and tier 0
-        // answers queries without changing which queries are issued).
+        // tally identically on both paths, and tier 0 answers queries
+        // without changing which queries are issued).
         assert_eq!(
             serial.gates, cached.gates,
             "{name}: gates_cached != gates_serial"
@@ -967,7 +960,6 @@ fn main() {
                 "serial",
                 Json::obj([
                     ("use_cache", Json::Bool(false)),
-                    ("num_threads", Json::Num(1.0)),
                     ("use_tier0", Json::Bool(false)),
                 ]),
             ),
@@ -975,7 +967,6 @@ fn main() {
                 "cached",
                 Json::obj([
                     ("use_cache", Json::Bool(true)),
-                    ("num_threads", Json::Num(4.0)),
                     ("use_tier0", Json::Bool(true)),
                 ]),
             ),

@@ -9,13 +9,14 @@
 //! single cache entry, and the stored canonical realization is remapped
 //! exactly onto each query's variables and phases.
 //!
-//! The map is sharded behind [`std::sync::RwLock`]s so the cache-warming
-//! worker threads and the serial emission pass can share it without a
-//! global lock, and the read-heavy lookup path never serializes readers
-//! against each other. Entries are decided *in canonical space*, so the value
-//! stored under a key is a pure function of the key (and the run's
+//! The map is sharded behind [`std::sync::RwLock`]s so the connection
+//! threads of a `tels serve` daemon can share it without a global lock,
+//! and the read-heavy lookup path never serializes readers against each
+//! other. Entries are decided *in canonical space*, so the value stored
+//! under a key is a pure function of the key (and the run's
 //! [`TelsConfig`](crate::TelsConfig)) — concurrent insert races are benign
-//! and the synthesized network is independent of thread count.
+//! and the synthesized network does not depend on which job filled an
+//! entry.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;

@@ -93,25 +93,6 @@ impl SolverBreakdown {
     /// collapsed (11 is the structure pass's truth-table limit).
     pub const SUPPORT_BUCKETS: usize = 13;
 
-    /// Accumulates another breakdown into this one (thread-merge).
-    pub fn merge(&mut self, other: &SolverBreakdown) {
-        self.tier0_lookups += other.tier0_lookups;
-        self.tier05_hits += other.tier05_hits;
-        self.tier05_rejects += other.tier05_rejects;
-        self.negcache_hits += other.negcache_hits;
-        self.chow_merged_vars += other.chow_merged_vars;
-        self.int_fast_path_solves += other.int_fast_path_solves;
-        self.rational_fallbacks += other.rational_fallbacks;
-        self.tier0_ns += other.tier0_ns;
-        self.tier05_ns += other.tier05_ns;
-        self.structure_ns += other.structure_ns;
-        self.int_solve_ns += other.int_solve_ns;
-        self.rational_solve_ns += other.rational_solve_ns;
-        for (a, b) in self.support_hist.iter_mut().zip(other.support_hist.iter()) {
-            *a += b;
-        }
-    }
-
     /// Total ILP solves that ran (either tier).
     pub fn ilp_solves(&self) -> usize {
         self.int_fast_path_solves + self.rational_fallbacks
@@ -502,8 +483,8 @@ impl CheckVia {
 /// canonical cover — and the canonical answer is memoized. Hit or miss,
 /// the caller receives the canonical answer remapped onto the query's
 /// variables and phases, so the result depends only on the function's
-/// canonical form, never on which query populated the cache or on thread
-/// scheduling. `scratch` carries the canonicalization buffers, reused
+/// canonical form, never on which query (or which job) populated the
+/// cache. `scratch` carries the canonicalization buffers, reused
 /// across calls by hot loops.
 pub(crate) fn check_threshold_cached(
     f: &Sop,

@@ -11,22 +11,20 @@
 //! Boolean reference is simulated **once** per configuration with the
 //! packed [`sim::simulate`], then every disturbed instance streams through
 //! the packed disturbed evaluator 64 vectors at a time, early-exiting on
-//! the first mismatching word. Trials are distributed across the
-//! work-stealing [`Scheduler`](crate::sched::Scheduler) with per-trial
-//! derived RNG seeds, so the failure verdict of trial *t* depends only on
-//! `(options.seed, t)` — results are bit-identical at any thread count.
+//! the first mismatching word. Trials are spread over scoped threads that
+//! claim indices from a shared cursor, with per-trial derived RNG seeds,
+//! so the failure verdict of trial *t* depends only on `(options.seed, t)`
+//! — results are bit-identical at any thread count.
 //! [`failure_rate_scalar`] keeps the pre-engine per-row scalar evaluation
 //! alive under the same seeding scheme as an A/B reference.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use tels_logic::rng::{SplitMix64, Xoshiro256};
 use tels_logic::{sim, Network};
 
 use crate::error::SynthError;
 use crate::eval::{interface_perms, pattern_set, EvalPlan, EvalScratch};
-use crate::sched::{DepGraph, Scheduler};
 use crate::tnet::ThresholdNetwork;
 
 /// Disturbed weights for every node, indexed by [`TnId::index`]. Inputs
@@ -285,8 +283,8 @@ impl PerturbContext {
 /// a wrong value on at least one simulated vector.
 ///
 /// Runs on the packed engine; with `options.threads > 1` the trials are
-/// distributed over the work-stealing scheduler. Per-trial derived seeds
-/// make the result identical at every thread count.
+/// spread over that many scoped threads. Per-trial derived seeds make the
+/// result identical at every thread count.
 ///
 /// # Errors
 ///
@@ -311,20 +309,31 @@ pub fn failure_rate(
             .filter(|&t| ctx.trial_fails(tn, t as u64, &mut dist, &mut scratch))
             .count()
     } else {
-        let failed: Vec<AtomicBool> = (0..options.trials)
-            .map(|_| AtomicBool::new(false))
-            .collect();
-        let states: Vec<Mutex<(Disturbance, EvalScratch)>> = (0..threads)
-            .map(|_| Mutex::new((Disturbance::new(), ctx.scratch())))
-            .collect();
-        Scheduler::new(DepGraph::new(options.trials)).run(threads, |worker, task| {
-            let mut state = states[worker.index].lock().expect("perturb worker state");
-            let (dist, scratch) = &mut *state;
-            if ctx.trial_fails(tn, task as u64, dist, scratch) {
-                failed[task as usize].store(true, Ordering::Relaxed);
+        // Workers claim trial indices from one shared cursor; each trial's
+        // verdict depends only on its index, so the count is the same
+        // whichever worker runs it.
+        let next = AtomicUsize::new(0);
+        let failed = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    let mut scratch = ctx.scratch();
+                    let mut dist = Disturbance::new();
+                    let mut mine = 0;
+                    loop {
+                        let t = next.fetch_add(1, Ordering::Relaxed);
+                        if t >= options.trials {
+                            break;
+                        }
+                        if ctx.trial_fails(tn, t as u64, &mut dist, &mut scratch) {
+                            mine += 1;
+                        }
+                    }
+                    failed.fetch_add(mine, Ordering::Relaxed);
+                });
             }
         });
-        failed.iter().filter(|f| f.load(Ordering::Relaxed)).count()
+        failed.into_inner()
     };
     span.arg("failures", failures as u64);
     Ok(failures as f64 / options.trials as f64)

@@ -8,7 +8,6 @@
 //! | parse | streaming vs in-memory BLIF parse | BLIF bytes |
 //! | tier-0 | `use_tier0` on vs off | `.tnet` bytes |
 //! | tier-0.5 | `use_tier05` on vs off | `.tnet` bytes |
-//! | threads | 1 thread vs N threads | `.tnet` bytes |
 //! | trace | tracing off vs on | `.tnet` bytes |
 //! | serve | in-process serve session vs one-shot | `.tnet` bytes |
 //! | cache | `use_cache` on vs off | gate count, depth, function |
@@ -41,8 +40,6 @@ use tels_logic::{Cube, Network, Sop, Var};
 pub struct OracleOptions {
     /// Fanin restriction ψ used for every synthesis leg.
     pub psi: usize,
-    /// The "N" of the 1-vs-N thread determinism leg.
-    pub alt_threads: usize,
     /// Exhaustive equivalence up to this many inputs (a proof); random
     /// patterns beyond.
     pub exhaustive_limit: u32,
@@ -56,7 +53,6 @@ impl Default for OracleOptions {
     fn default() -> Self {
         OracleOptions {
             psi: 3,
-            alt_threads: 4,
             exhaustive_limit: 12,
             random_patterns: 2048,
             sim_seed: 0x7e15,
@@ -75,14 +71,12 @@ pub enum FailureKind {
     Tier0Bytes,
     /// Tier-0.5 on/off produced different `.tnet` bytes.
     Tier05Bytes,
-    /// 1 vs N threads produced different `.tnet` bytes.
-    ThreadBytes,
     /// Tracing on/off produced different `.tnet` bytes.
     TraceBytes,
     /// Metrics on/off produced different `.tnet` bytes.
     MetricsBytes,
     /// An in-process serve session produced different `.tnet` bytes than
-    /// the one-shot path (scheduler or shared-cache nondeterminism).
+    /// the one-shot path (shared-cache nondeterminism).
     ServeBytes,
     /// Cache on/off disagreed on gate count, depth, or function.
     CacheDiff,
@@ -102,7 +96,6 @@ impl FailureKind {
             FailureKind::ParseStream => "parse",
             FailureKind::Tier0Bytes => "tier0",
             FailureKind::Tier05Bytes => "tier05",
-            FailureKind::ThreadBytes => "threads",
             FailureKind::TraceBytes => "trace",
             FailureKind::MetricsBytes => "metrics",
             FailureKind::ServeBytes => "serve",
@@ -155,9 +148,8 @@ fn guarded<T>(
 fn base_config(opts: &OracleOptions) -> TelsConfig {
     TelsConfig {
         psi: opts.psi,
-        num_threads: 1,
-        // Engage the cache/thread machinery even on tiny fuzz networks —
-        // the whole point is to drive the parallel paths.
+        // Engage the cache even on tiny fuzz networks — the whole point is
+        // to drive the cached path.
         parallel_min_nodes: 0,
         ..TelsConfig::default()
     }
@@ -303,7 +295,7 @@ fn parse_leg(net: &Network) -> Result<(), Failure> {
 }
 
 /// The serve-vs-one-shot byte-identity leg (see [`run_case`]).
-fn serve_leg(net: &Network, cfg: &TelsConfig, opts: &OracleOptions) -> Result<(), Failure> {
+fn serve_leg(net: &Network, cfg: &TelsConfig) -> Result<(), Failure> {
     use tels_serve::protocol::JobRequest;
     use tels_serve::{ServeOptions, ServeSession};
 
@@ -316,10 +308,7 @@ fn serve_leg(net: &Network, cfg: &TelsConfig, opts: &OracleOptions) -> Result<()
     })?
     .to_tnet();
     let served = catch_unwind(AssertUnwindSafe(|| {
-        let session = ServeSession::new(ServeOptions {
-            threads: opts.alt_threads,
-            ..ServeOptions::default()
-        })?;
+        let session = ServeSession::new(ServeOptions::default())?;
         let req = JobRequest {
             blif: text.clone(),
             factor: false,
@@ -369,7 +358,7 @@ pub fn run_case(net: &Network, opts: &OracleOptions) -> Result<(), Failure> {
     // partial fills is exercised on every case.
     parse_leg(net)?;
 
-    // Baseline synthesis (1 thread, cache + tier-0 on).
+    // Baseline synthesis (cache + tier-0 on).
     let base = guarded(FailureKind::Synth, "synthesize", || synthesize(net, &cfg))?;
     let base_bytes = base.to_tnet();
 
@@ -409,26 +398,6 @@ pub fn run_case(net: &Network, opts: &OracleOptions) -> Result<(), Failure> {
         ));
     }
 
-    // Leg: 1 vs N threads byte identity.
-    let threaded = guarded(FailureKind::ThreadBytes, "synthesize(threads)", || {
-        synthesize(
-            net,
-            &TelsConfig {
-                num_threads: opts.alt_threads,
-                ..cfg.clone()
-            },
-        )
-    })?;
-    if threaded.to_tnet() != base_bytes {
-        return Err(Failure::new(
-            FailureKind::ThreadBytes,
-            format!(
-                "1 vs {} threads produced different .tnet bytes",
-                opts.alt_threads
-            ),
-        ));
-    }
-
     // Leg: tracing on/off byte identity. Tracing is process-global, so
     // enable/disable around the leg and drain the buffer afterwards.
     tels_trace::enable();
@@ -460,14 +429,13 @@ pub fn run_case(net: &Network, opts: &OracleOptions) -> Result<(), Failure> {
         ));
     }
 
-    // Leg: an in-process serve session (pooled scheduler + shared
-    // realization cache) must match the one-shot path byte for byte. The
-    // job is submitted twice — cold, then again against the now-populated
-    // shared cache — so both the scheduler and cross-job cache reuse are
-    // on the hook. `factor: false` because the oracle synthesizes the raw
+    // Leg: an in-process serve session (shared realization cache) must
+    // match the one-shot path byte for byte. The job is submitted twice —
+    // cold, then again against the now-populated shared cache — so
+    // cross-job cache reuse is on the hook. `factor: false` because the oracle synthesizes the raw
     // generated network, and the comparison reference goes through the
     // same BLIF round-trip the daemon's parser sees.
-    serve_leg(net, &cfg, opts)?;
+    serve_leg(net, &cfg)?;
 
     // Leg: cache on/off — same gate structure, same function (weights may
     // legitimately differ: the cache solves in canonical variable order).

@@ -1,9 +1,9 @@
 //! # tels-metrics — live runtime metrics for TELS-RS
 //!
 //! A process-wide registry of lock-free instruments for the long-running
-//! parts of the pipeline (the work-stealing pool, the realization cache,
-//! the threshold-check dispatch, the packed simulator, and the `tels
-//! serve` daemon). Dependency-free, like [`tels_trace`], whose in-tree
+//! parts of the pipeline (the realization and negative caches, the
+//! threshold-check dispatch, the packed simulator, and the `tels serve`
+//! daemon). Dependency-free, like [`tels_trace`], whose in-tree
 //! JSON machinery and log₂ [`tels_trace::Histogram`] it reuses.
 //!
 //! ## Zero overhead when disabled
@@ -19,10 +19,10 @@
 //! [`Counter`] spreads increments over [`COUNTER_SHARDS`] cache-line-padded
 //! atomic cells; each thread picks a home shard once (round-robin at first
 //! touch), so the hot path is one uncontended relaxed `fetch_add`.
-//! [`PerIndex`] instruments dedicate one cell per small index (worker id,
-//! cache shard, connection id mod [`MAX_INDEX`]) — uncontended by
-//! construction and exposed as labeled series. [`Gauge`]s are single
-//! atomics, written from samplers rather than hot paths.
+//! [`PerIndex`] instruments dedicate one cell per small index (cache
+//! shard, connection id mod [`MAX_INDEX`]) — uncontended by construction
+//! and exposed as labeled series. [`Gauge`]s are single atomics, moved by
+//! paired adds around a region rather than from hot paths.
 //!
 //! ## Snapshot consistency
 //!
@@ -192,9 +192,9 @@ impl Default for Gauge {
     }
 }
 
-/// A counter family keyed by a small index (pool worker, cache shard,
-/// connection id) with one dedicated cell per index — writers with
-/// distinct indices never contend. Indices wrap modulo [`MAX_INDEX`].
+/// A counter family keyed by a small index (cache shard, connection id)
+/// with one dedicated cell per index — writers with distinct indices never
+/// contend. Indices wrap modulo [`MAX_INDEX`].
 #[derive(Debug)]
 pub struct PerIndex {
     cells: [AtomicU64; MAX_INDEX],
@@ -314,7 +314,7 @@ pub enum InstrumentRef {
     PerIndex {
         /// The instrument.
         family: &'static PerIndex,
-        /// Prometheus label key for the index (`worker`, `shard`, `conn`).
+        /// Prometheus label key for the index (`shard`, `conn`).
         label: &'static str,
     },
     /// A log₂ histogram.
@@ -337,21 +337,6 @@ pub struct Descriptor {
 /// instrumented crates. [`REGISTRY`] enumerates them for exposition.
 pub mod instruments {
     use super::{AtomicHistogram, Counter, Gauge, PerIndex};
-
-    /// Tasks executed, per pool/scheduler worker.
-    pub static SCHED_TASKS: PerIndex = PerIndex::new();
-    /// Tasks obtained by stealing from a peer's deque, per worker.
-    pub static SCHED_STEALS: PerIndex = PerIndex::new();
-    /// Full find-task scans that came up empty, per worker.
-    pub static SCHED_STEAL_FAILS: PerIndex = PerIndex::new();
-    /// Nanoseconds spent running tasks, per worker.
-    pub static SCHED_BUSY_NS: PerIndex = PerIndex::new();
-    /// Nanoseconds spent parked waiting for work, per worker.
-    pub static SCHED_IDLE_NS: PerIndex = PerIndex::new();
-    /// Pool injector queue depth (sampled).
-    pub static SCHED_INJECTOR_DEPTH: Gauge = Gauge::new();
-    /// Sum of pool worker deque depths (sampled).
-    pub static SCHED_DEQUE_DEPTH: Gauge = Gauge::new();
 
     /// Realization-cache lookup hits, per cache shard.
     pub static CACHE_HITS: PerIndex = PerIndex::new();
@@ -415,56 +400,6 @@ use instruments as i9s;
 
 /// Every registered instrument, in exposition order.
 pub static REGISTRY: &[Descriptor] = &[
-    Descriptor {
-        name: "tels_sched_tasks_total",
-        help: "Tasks executed by pool/scheduler workers",
-        instrument: InstrumentRef::PerIndex {
-            family: &i9s::SCHED_TASKS,
-            label: "worker",
-        },
-    },
-    Descriptor {
-        name: "tels_sched_steals_total",
-        help: "Tasks obtained by stealing from a peer worker",
-        instrument: InstrumentRef::PerIndex {
-            family: &i9s::SCHED_STEALS,
-            label: "worker",
-        },
-    },
-    Descriptor {
-        name: "tels_sched_steal_fails_total",
-        help: "Full find-task scans that found no work",
-        instrument: InstrumentRef::PerIndex {
-            family: &i9s::SCHED_STEAL_FAILS,
-            label: "worker",
-        },
-    },
-    Descriptor {
-        name: "tels_sched_busy_ns_total",
-        help: "Nanoseconds workers spent running tasks",
-        instrument: InstrumentRef::PerIndex {
-            family: &i9s::SCHED_BUSY_NS,
-            label: "worker",
-        },
-    },
-    Descriptor {
-        name: "tels_sched_idle_ns_total",
-        help: "Nanoseconds workers spent parked",
-        instrument: InstrumentRef::PerIndex {
-            family: &i9s::SCHED_IDLE_NS,
-            label: "worker",
-        },
-    },
-    Descriptor {
-        name: "tels_sched_injector_depth",
-        help: "Pool injector queue depth (sampled)",
-        instrument: InstrumentRef::Gauge(&i9s::SCHED_INJECTOR_DEPTH),
-    },
-    Descriptor {
-        name: "tels_sched_deque_depth",
-        help: "Sum of pool worker deque depths (sampled)",
-        instrument: InstrumentRef::Gauge(&i9s::SCHED_DEQUE_DEPTH),
-    },
     Descriptor {
         name: "tels_cache_hits_total",
         help: "Realization-cache lookup hits",
@@ -622,7 +557,7 @@ pub enum Value {
     Gauge(i64),
     /// Labeled series: non-zero `(index, value)` cells plus the total.
     Series {
-        /// Label key (`worker`, `shard`, `conn`).
+        /// Label key (`shard`, `conn`).
         label: &'static str,
         /// Non-zero cells.
         cells: Vec<(usize, u64)>,
@@ -846,7 +781,7 @@ mod tests {
                 s.spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
                         instruments::EVAL_VECTORS.add(64);
-                        instruments::SCHED_TASKS.inc(w);
+                        instruments::CACHE_HITS.inc(w);
                     }
                 });
             }
@@ -856,7 +791,7 @@ mod tests {
                 for _ in 0..200 {
                     let snap = snapshot();
                     let v = snap.scalar("tels_eval_vectors_total").unwrap();
-                    let t = snap.scalar("tels_sched_tasks_total").unwrap();
+                    let t = snap.scalar("tels_cache_hits_total").unwrap();
                     assert!(v >= last_vec, "counter regressed: {v} < {last_vec}");
                     assert!(t >= last_tasks, "series regressed: {t} < {last_tasks}");
                     last_vec = v;

@@ -114,7 +114,7 @@ pub fn serve_stdio(session: &ServeSession) -> io::Result<ConnectionEnd> {
 }
 
 /// Listens on a unix socket and serves concurrent clients; jobs from all
-/// connections share the session's pool and caches. Returns once a client
+/// connections share the session's caches. Returns once a client
 /// sends `shutdown`: the listener stops accepting, in-flight connections
 /// are joined, and the cache file (when configured) is saved. A stale
 /// socket file at `path` is replaced.

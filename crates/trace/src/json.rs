@@ -193,6 +193,7 @@ impl fmt::Display for Json {
 /// trailing garbage after the top-level value.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -206,6 +207,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -352,17 +354,26 @@ impl Parser<'_> {
                         }
                     }
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(format!("raw control character at byte {}", self.pos));
+                }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().expect("non-empty");
-                    if (c as u32) < 0x20 {
-                        return Err(format!("raw control character at byte {}", self.pos));
+                    // Copy the run of plain characters up to the next quote,
+                    // backslash or control byte in one slice. All three are
+                    // ASCII, so the run ends on a character boundary and the
+                    // slice of the (already valid) input needs no decoding.
+                    let start = self.pos;
+                    while self
+                        .peek()
+                        .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+                    {
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = self
+                        .text
+                        .get(start..self.pos)
+                        .ok_or_else(|| format!("invalid UTF-8 boundary at byte {start}"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -488,6 +499,27 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn large_mixed_string_round_trips() {
+        // ASCII, 2-, 3- and 4-byte UTF-8, and every character the writer
+        // escapes (quote, backslash, \n, \t, \r, other controls), repeated
+        // to ~256 KiB: the size of a large BLIF job in a serve request.
+        let unit = "net a_1 = b;\u{e9}\u{3b1}\u{20ac}\u{6f22}\u{1d11e}\u{1f600}\"\\\n\t\r\u{0}\u{8}\u{c}\u{1f}/";
+        let mut big = String::new();
+        while big.len() < 256 * 1024 {
+            big.push_str(unit);
+        }
+        let v = Json::obj([("blif", Json::str(big.clone())), ("tail", Json::Num(1.0))]);
+        let back = parse(&v.to_string()).unwrap();
+        assert_eq!(back.get("blif").and_then(Json::as_str), Some(big.as_str()));
+        assert_eq!(back, v);
+        // The escapes the writer never emits parse to the same characters.
+        assert_eq!(
+            parse(r#""\/\b\f\ud83d\ude00""#).unwrap(),
+            Json::str("/\u{8}\u{c}\u{1f600}")
+        );
     }
 
     #[test]

@@ -193,7 +193,7 @@ pub struct Event {
 }
 
 /// Per-thread event buffer, registered globally so [`drain`] can reach it
-/// after the owning thread exits (scoped warming workers, for example).
+/// after the owning thread exits (scoped worker threads, for example).
 #[derive(Debug)]
 struct ThreadBuffer {
     tid: u64,
@@ -244,8 +244,8 @@ fn push(kind: EventKind) {
         .push(Event { ts, tid, kind });
 }
 
-/// Labels the current thread in exported traces (e.g. `warm-3` for a
-/// cache-warming worker). No-op while tracing is disabled.
+/// Labels the current thread in exported traces (e.g. `main` for the CLI's
+/// main thread). No-op while tracing is disabled.
 pub fn set_thread_label(label: impl Into<String>) {
     if !enabled() {
         return;
@@ -262,9 +262,8 @@ thread_local! {
 /// Attributes subsequent spans opened on this thread to a job: every span
 /// gains a `job` argument until the label is cleared with `set_job(None)`.
 ///
-/// Daemon-style callers (`tels serve`) set this around each unit of work —
-/// on the connection thread for a job's emission pass and inside each
-/// pooled warming task — so a drained profile can split shared-pool time
+/// Daemon-style callers (`tels serve`) set this around each job on its
+/// connection thread, so a drained profile can split the daemon's time
 /// per job. Cheap enough to call unconditionally, but pairs naturally with
 /// an [`enabled`] check since the label only matters while collecting.
 pub fn set_job(job: Option<u64>) {
@@ -330,7 +329,7 @@ pub fn span(cat: &'static str, name: impl Into<String>) -> Span {
         name: name.clone(),
     });
     // Spans opened while a job label is set (see [`set_job`]) carry the
-    // job id, so daemon profiles attribute shared-pool work to jobs.
+    // job id, so daemon profiles attribute work to jobs.
     let args = match current_job() {
         Some(job) => vec![("job", ArgValue::UInt(job))],
         None => Vec::new(),
