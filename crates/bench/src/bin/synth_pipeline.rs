@@ -53,7 +53,8 @@
 //! circuit through the whole big-circuit frontend: streaming BLIF parse
 //! (checked byte-identical to the string parser), algebraic factoring,
 //! cached synthesis, and packed verification, recording per-stage wall
-//! clock and the process peak RSS. It also measures how much insert-time
+//! clock and the process peak RSS, plus the factoring time of the
+//! extract-bound `majority_grid(64,64)`. It also measures how much insert-time
 //! structural hashing (`tels_logic::arena::StrashNet`) shrinks the
 //! duplicated-logic ALU generator, and asserts the ≥2-gates-per-bit
 //! reduction. Quick mode regression-gates the stage timings against the
@@ -476,17 +477,23 @@ fn peak_rss_mb() -> f64 {
 /// byte-identical (under `write`) to the in-memory string parser on the
 /// same input, so the number reported is the parser production code
 /// actually runs on files. Factoring dominates end-to-end time at this
-/// scale (eliminate/simplify are superlinear-but-bounded; see DESIGN
-/// §2.14), which is exactly why the stage split is recorded.
+/// scale (see DESIGN §2.14), which is exactly why the stage split is
+/// recorded.
 ///
-/// A second measurement demonstrates insert-time structural hashing: the
+/// The factoring time of `majority_grid(64,64)` is recorded next to it:
+/// parity_ladder's factoring is eliminate/simplify-bound, the majority
+/// grid's is extract-bound, so the two shapes cover the costly passes.
+///
+/// A third measurement demonstrates insert-time structural hashing: the
 /// ALU array generator duplicates its carry-generate/propagate gates
 /// against the bitwise and/xor gates, and `StrashNet::from_network` must
 /// strip at least those 2 gates per bit.
 ///
-/// Returns `(section, parse_ms, pipeline_ms)` where `pipeline_ms` is
-/// factoring + synthesis (the quick-mode regression gates ride on these).
-fn measure_scaling() -> (Json, f64, f64) {
+/// Returns `(section, parse_ms, pipeline_ms, extract_bound_ms)` where
+/// `pipeline_ms` is factoring + synthesis and `extract_bound_ms` the
+/// majority grid's factoring (the quick-mode regression gates ride on
+/// these).
+fn measure_scaling() -> (Json, f64, f64, f64) {
     let source = parity_ladder(160, 64);
     let nodes = source.num_logic_nodes();
     assert!(nodes >= 10_000, "scaling circuit shrank to {nodes} nodes");
@@ -531,6 +538,11 @@ fn measure_scaling() -> (Json, f64, f64) {
     );
     let verify_ms = start.elapsed().as_secs_f64() * 1e3;
 
+    let grid = majority_grid(64, 64);
+    let start = Instant::now();
+    let grid_factored = script_algebraic(&grid);
+    let grid_factor_ms = start.elapsed().as_secs_f64() * 1e3;
+
     // Structural hashing on the duplicated-logic ALU array (~10.8k nodes):
     // per bit, g_i duplicates and_i and p_i duplicates xor_i, so the
     // arena must come out at least 2 gates per bit smaller.
@@ -559,6 +571,11 @@ fn measure_scaling() -> (Json, f64, f64) {
         stats.ilp_solves
     );
     println!(
+        "scaling: majority_grid_64x64 ({} nodes) — factor {grid_factor_ms:.1} ms -> {} nodes",
+        grid.num_logic_nodes(),
+        grid_factored.num_logic_nodes()
+    );
+    println!(
         "scaling: strash alu_array_{width}: {alu_nodes} -> {alu_gates} gates \
          ({strash_pct:.1}% removed, {} dedup hits, {strash_ms:.1} ms)",
         arena.dedup_hits()
@@ -576,6 +593,14 @@ fn measure_scaling() -> (Json, f64, f64) {
         ("ilp_solves", Json::Num(stats.ilp_solves as f64)),
         ("peak_rss_mb", Json::Num(rss_mb)),
         (
+            "extract_bound",
+            Json::obj([
+                ("circuit", Json::str("majority_grid_64x64")),
+                ("nodes", Json::Num(grid.num_logic_nodes() as f64)),
+                ("factor_ms", Json::Num(grid_factor_ms)),
+            ]),
+        ),
+        (
             "strash",
             Json::obj([
                 ("circuit", Json::str("alu_array_1200")),
@@ -587,7 +612,7 @@ fn measure_scaling() -> (Json, f64, f64) {
             ]),
         ),
     ]);
-    (section, parse_ms, factor_ms + synth_ms)
+    (section, parse_ms, factor_ms + synth_ms, grid_factor_ms)
 }
 
 fn main() {
@@ -804,7 +829,8 @@ fn main() {
         "tier 0.5 slowed the large suite: {t05_on_ms:.1} ms on vs {t05_off_ms:.1} ms off"
     );
 
-    let (scaling_section, scaling_parse_ms, scaling_pipeline_ms) = measure_scaling();
+    let (scaling_section, scaling_parse_ms, scaling_pipeline_ms, scaling_grid_ms) =
+        measure_scaling();
 
     if quick {
         // Quick (CI) mode: regression-gate the oracle against the
@@ -941,6 +967,17 @@ fn main() {
                             assert!(
                                 scaling_pipeline_ms <= committed * 3.0 + 500.0,
                                 "10k-node factoring+synthesis took {scaling_pipeline_ms:.1} ms \
+                                 vs committed {committed:.1} ms"
+                            );
+                        }
+                        let committed_grid = scaling
+                            .get("extract_bound")
+                            .and_then(|g| g.get("factor_ms"))
+                            .and_then(Json::as_f64);
+                        if let Some(committed) = committed_grid {
+                            assert!(
+                                scaling_grid_ms <= committed * 3.0 + 500.0,
+                                "majority_grid_64x64 factoring took {scaling_grid_ms:.1} ms \
                                  vs committed {committed:.1} ms"
                             );
                         }

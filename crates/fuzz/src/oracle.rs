@@ -6,6 +6,7 @@
 //! | leg | configurations | must agree on |
 //! |-----|----------------|---------------|
 //! | parse | streaming vs in-memory BLIF parse | BLIF bytes |
+//! | factor | `script_algebraic` vs the source, and run twice | function; BLIF bytes |
 //! | tier-0 | `use_tier0` on vs off | `.tnet` bytes |
 //! | tier-0.5 | `use_tier05` on vs off | `.tnet` bytes |
 //! | trace | tracing off vs on | `.tnet` bytes |
@@ -33,7 +34,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tels_core::{map_one_to_one, synthesize, TelsConfig, ThresholdNetwork};
-use tels_logic::{Cube, Network, Sop, Var};
+use tels_logic::sim::{check_equivalence, EquivOptions};
+use tels_logic::{blif, opt, Cube, Network, Sop, Var};
 
 /// Knobs of one oracle run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,6 +69,9 @@ pub enum FailureKind {
     Synth,
     /// Streaming and in-memory BLIF parsing disagreed on the network.
     ParseStream,
+    /// `script_algebraic` changed the network's function, or two runs of
+    /// it wrote different BLIF bytes.
+    Factor,
     /// Tier-0 on/off produced different `.tnet` bytes.
     Tier0Bytes,
     /// Tier-0.5 on/off produced different `.tnet` bytes.
@@ -94,6 +99,7 @@ impl FailureKind {
         match self {
             FailureKind::Synth => "synth",
             FailureKind::ParseStream => "parse",
+            FailureKind::Factor => "factor",
             FailureKind::Tier0Bytes => "tier0",
             FailureKind::Tier05Bytes => "tier05",
             FailureKind::TraceBytes => "trace",
@@ -294,6 +300,37 @@ fn parse_leg(net: &Network) -> Result<(), Failure> {
     Ok(())
 }
 
+fn equiv_opts(opts: &OracleOptions) -> EquivOptions {
+    EquivOptions {
+        exhaustive_limit: opts.exhaustive_limit,
+        random_patterns: opts.random_patterns,
+        seed: opts.sim_seed,
+    }
+}
+
+/// The factoring leg (see [`run_case`]).
+fn factor_leg(net: &Network, opts: &OracleOptions) -> Result<(), Failure> {
+    let kind = FailureKind::Factor;
+    let first = guarded(kind, "script_algebraic", || Ok(opt::script_algebraic(net)))?;
+    let second = guarded(kind, "script_algebraic (again)", || {
+        Ok(opt::script_algebraic(net))
+    })?;
+    if blif::write(&first) != blif::write(&second) {
+        return Err(Failure::new(
+            kind,
+            "two script_algebraic runs wrote different BLIF bytes",
+        ));
+    }
+    match check_equivalence(net, &first, &equiv_opts(opts)) {
+        Ok(r) if r.is_equivalent() => Ok(()),
+        Ok(r) => Err(Failure::new(
+            kind,
+            format!("script_algebraic changed the function: {r:?}"),
+        )),
+        Err(e) => Err(Failure::new(kind, format!("equivalence check failed: {e}"))),
+    }
+}
+
 /// The serve-vs-one-shot byte-identity leg (see [`run_case`]).
 fn serve_leg(net: &Network, cfg: &TelsConfig) -> Result<(), Failure> {
     use tels_serve::protocol::JobRequest;
@@ -357,6 +394,10 @@ pub fn run_case(net: &Network, opts: &OracleOptions) -> Result<(), Failure> {
     // streaming side reads through a 7-byte buffer so line reassembly from
     // partial fills is exercised on every case.
     parse_leg(net)?;
+
+    // Leg: algebraic factoring (the form TELS synthesizes from, §V) must
+    // keep the function and be deterministic.
+    factor_leg(net, opts)?;
 
     // Baseline synthesis (cache + tier-0 on).
     let base = guarded(FailureKind::Synth, "synthesize", || synthesize(net, &cfg))?;
@@ -498,16 +539,6 @@ pub fn run_case(net: &Network, opts: &OracleOptions) -> Result<(), Failure> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tels_logic::blif;
-    use tels_logic::sim::{check_equivalence, EquivOptions};
-
-    fn equiv_opts(opts: &OracleOptions) -> EquivOptions {
-        EquivOptions {
-            exhaustive_limit: opts.exhaustive_limit,
-            random_patterns: opts.random_patterns,
-            seed: opts.sim_seed,
-        }
-    }
 
     #[test]
     fn known_good_network_passes_all_legs() {
