@@ -122,8 +122,9 @@ trap 'rm -rf "$smoke_dir"' EXIT
 
 echo "==> differential fuzz (quick budget) + corpus replay"
 # 500 seeded cases through the full oracle matrix (streaming-vs-string
-# BLIF parse identity, tier-0/tier-0.5/cache/trace/metrics/serve
-# determinism, synthesis and one-to-one correctness vs the source),
+# BLIF parse identity, script_algebraic equivalence and determinism,
+# tier-0/tier-0.5/cache/trace/metrics/serve determinism, synthesis and
+# one-to-one correctness vs the source),
 # then every committed reproducer in tests/corpus/ — each is a past
 # failure that must stay fixed forever. Any new counterexample is shrunk
 # and written to tests/corpus/ for triage (and must be fixed + committed).
