@@ -6,14 +6,14 @@
 //!
 //! Two configurations are compared over a mixed circuit suite:
 //!
-//! * **serial**: `use_cache = false`, `use_tier0 = false` — the
-//!   pre-cache, pre-oracle flow, every threshold query solved by the ILP
-//!   in its original order;
+//! * **serial**: `use_cache = false`, `use_tier0 = false` — no
+//!   memoization and no oracle: every threshold query past the trivial
+//!   cases is decided fresh in canonical space (Theorem 1, tier 0.5, the
+//!   structure pre-filter, the ILP);
 //! * **cached**: `use_cache = true`, `use_tier0 = true` — the full
 //!   pipeline: the tier-0 truth-table oracle answers every small-support
 //!   query, the canonical cache with the structure pre-filter covers the
-//!   rest (the cache disengages below `parallel_min_nodes`, so c17-sized
-//!   circuits run the uncached flow in both columns).
+//!   rest.
 //!
 //! Both runs of every circuit are checked functionally equivalent against
 //! the source network before being timed, and the run doubles as a
@@ -54,11 +54,9 @@
 //! (checked byte-identical to the string parser), algebraic factoring,
 //! cached synthesis, and packed verification, recording per-stage wall
 //! clock and the process peak RSS, plus the factoring time of the
-//! extract-bound `majority_grid(64,64)`. It also measures how much insert-time
-//! structural hashing (`tels_logic::arena::StrashNet`) shrinks the
-//! duplicated-logic ALU generator, and asserts the ≥2-gates-per-bit
-//! reduction. Quick mode regression-gates the stage timings against the
-//! committed baseline so large-n slowdowns become visible in CI.
+//! extract-bound `majority_grid(64,64)`. Quick mode regression-gates the
+//! stage timings against the committed baseline so large-n slowdowns
+//! become visible in CI.
 //!
 //! Run with `cargo run --release -p tels-bench --bin synth_pipeline`;
 //! pass `--quick` for a single-sample smoke run that skips the JSON write
@@ -67,13 +65,12 @@
 use std::time::Instant;
 
 use tels_circuits::{
-    alu_array, alu_slice, array_multiplier, barrel_shifter, c17, comparator, decoder, gray_code,
-    lfsr_cone, majority_grid, mux_tree, parity_ladder, parity_tree, random_network, ripple_adder,
+    alu_slice, array_multiplier, barrel_shifter, c17, comparator, decoder, gray_code, lfsr_cone,
+    majority_grid, mux_tree, parity_ladder, parity_tree, random_network, ripple_adder,
     RandomNetOptions,
 };
 use tels_core::perturb::{failure_rate, failure_rate_scalar, PerturbOptions};
 use tels_core::{map_one_to_one, synthesize_with_stats, SynthStats, TelsConfig};
-use tels_logic::arena::StrashNet;
 use tels_logic::opt::script_algebraic;
 use tels_logic::{blif, Network};
 use tels_trace::json::Json;
@@ -364,10 +361,10 @@ fn measure_tier05_large(samples: usize) -> (Json, usize, usize, f64, f64) {
             ),
         ),
     ];
-    // Cache off: the realization cache would absorb every
-    // duplicate query and shrink the baseline to a handful of solves, so
-    // the leg runs the serial flow where each support-6/7 query reaches
-    // the solver stack and the tier's cut is measured on the full stream.
+    // Cache off: the realization cache would absorb every duplicate
+    // query and shrink the baseline to a handful of solves, so the leg
+    // runs without memoization, where each support-6/7 query reaches the
+    // solver stack and the tier's cut is measured on the full stream.
     let on_config = TelsConfig {
         use_cache: false,
         psi: 7,
@@ -484,11 +481,6 @@ fn peak_rss_mb() -> f64 {
 /// parity_ladder's factoring is eliminate/simplify-bound, the majority
 /// grid's is extract-bound, so the two shapes cover the costly passes.
 ///
-/// A third measurement demonstrates insert-time structural hashing: the
-/// ALU array generator duplicates its carry-generate/propagate gates
-/// against the bitwise and/xor gates, and `StrashNet::from_network` must
-/// strip at least those 2 gates per bit.
-///
 /// Returns `(section, parse_ms, pipeline_ms, extract_bound_ms)` where
 /// `pipeline_ms` is factoring + synthesis and `extract_bound_ms` the
 /// majority grid's factoring (the quick-mode regression gates ride on
@@ -543,24 +535,6 @@ fn measure_scaling() -> (Json, f64, f64, f64) {
     let grid_factored = script_algebraic(&grid);
     let grid_factor_ms = start.elapsed().as_secs_f64() * 1e3;
 
-    // Structural hashing on the duplicated-logic ALU array (~10.8k nodes):
-    // per bit, g_i duplicates and_i and p_i duplicates xor_i, so the
-    // arena must come out at least 2 gates per bit smaller.
-    let width = 1200usize;
-    let alu = alu_array(width);
-    let alu_nodes = alu.num_logic_nodes();
-    let start = Instant::now();
-    let arena = StrashNet::from_network(&alu).expect("generator networks are acyclic");
-    let strash_ms = start.elapsed().as_secs_f64() * 1e3;
-    let alu_gates = arena.num_gates();
-    assert!(
-        alu_gates + 2 * width <= alu_nodes,
-        "structural hashing removed only {} of the expected >= {} duplicate gates",
-        alu_nodes - alu_gates,
-        2 * width
-    );
-    let strash_pct = (1.0 - alu_gates as f64 / alu_nodes as f64) * 1e2;
-
     let rss_mb = peak_rss_mb();
     println!(
         "\nscaling: parity_ladder_160x64 ({nodes} nodes, {} BLIF bytes) — parse {parse_ms:.1} ms, \
@@ -574,11 +548,6 @@ fn measure_scaling() -> (Json, f64, f64, f64) {
         "scaling: majority_grid_64x64 ({} nodes) — factor {grid_factor_ms:.1} ms -> {} nodes",
         grid.num_logic_nodes(),
         grid_factored.num_logic_nodes()
-    );
-    println!(
-        "scaling: strash alu_array_{width}: {alu_nodes} -> {alu_gates} gates \
-         ({strash_pct:.1}% removed, {} dedup hits, {strash_ms:.1} ms)",
-        arena.dedup_hits()
     );
 
     let section = Json::obj([
@@ -598,17 +567,6 @@ fn measure_scaling() -> (Json, f64, f64, f64) {
                 ("circuit", Json::str("majority_grid_64x64")),
                 ("nodes", Json::Num(grid.num_logic_nodes() as f64)),
                 ("factor_ms", Json::Num(grid_factor_ms)),
-            ]),
-        ),
-        (
-            "strash",
-            Json::obj([
-                ("circuit", Json::str("alu_array_1200")),
-                ("nodes", Json::Num(alu_nodes as f64)),
-                ("gates", Json::Num(alu_gates as f64)),
-                ("reduction_pct", Json::Num(strash_pct)),
-                ("dedup_hits", Json::Num(arena.dedup_hits() as f64)),
-                ("strash_ms", Json::Num(strash_ms)),
             ]),
         ),
     ]);
@@ -941,9 +899,8 @@ fn main() {
                 // catch accidentally-quadratic regressions, which at this
                 // scale overshoot by orders of magnitude, not to litigate
                 // scheduler noise. (The absolute properties — ≥10k nodes,
-                // streaming/string byte identity, the ≥2-gates-per-bit
-                // strash reduction, functional verification — were already
-                // asserted inside `measure_scaling`.)
+                // streaming/string byte identity, functional verification —
+                // were already asserted inside `measure_scaling`.)
                 let scaling = doc.as_ref().and_then(|doc| doc.get("scaling"));
                 match scaling {
                     Some(scaling) => {

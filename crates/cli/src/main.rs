@@ -151,7 +151,8 @@ fn parse_synth_args(args: &[String]) -> Result<SynthArgs, String> {
                         .clone(),
                 )
             }
-            "--psi" => out.config.psi = num("--psi")? as usize,
+            // A negative ψ maps to 0, which `validate` below rejects.
+            "--psi" => out.config.psi = usize::try_from(num("--psi")?).unwrap_or(0),
             "--delta-on" => out.config.delta_on = num("--delta-on")?,
             "--delta-off" => out.config.delta_off = num("--delta-off")?,
             "--weight-cap" => out.config.weight_cap = Some(num("--weight-cap")?),
@@ -180,9 +181,7 @@ fn parse_synth_args(args: &[String]) -> Result<SynthArgs, String> {
     if out.input.is_empty() {
         return Err("missing input file".to_string());
     }
-    if out.config.psi < 2 {
-        return Err("--psi must be at least 2".to_string());
-    }
+    out.config.validate().map_err(|e| e.to_string())?;
     Ok(out)
 }
 
@@ -981,9 +980,7 @@ fn cmd_perturb(args: &[String]) -> Result<(), String> {
     if input.is_empty() {
         return Err("perturb requires an input BLIF file".to_string());
     }
-    if config.psi < 2 {
-        return Err("--psi must be at least 2".to_string());
-    }
+    config.validate().map_err(|e| e.to_string())?;
     if opts.variation.is_nan() || opts.variation < 0.0 {
         return Err("--variation must be non-negative".to_string());
     }
@@ -1103,6 +1100,7 @@ fn cmd_suite(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
+    config.validate().map_err(|e| e.to_string())?;
     println!(
         "{:<14} | {:>10} {:>7} {:>7} | {:>10} {:>7} {:>7}",
         "benchmark", "1:1 gates", "levels", "area", "TELS gates", "levels", "area"
@@ -1165,6 +1163,12 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
+    TelsConfig {
+        psi: opts.oracle.psi,
+        ..TelsConfig::default()
+    }
+    .validate()
+    .map_err(|e| e.to_string())?;
 
     if let Some(dir) = replay {
         // replay_corpus tolerates a missing directory (Ok(0)) so the corpus

@@ -180,6 +180,41 @@ fn synth_with_defect_tolerances() {
     assert!(stderr(&o).contains("simulation check passed"));
 }
 
+/// A weight cap too small for the AND gates the flow must emit, and every
+/// out-of-range config field, exits 1 with a message instead of a panic.
+#[test]
+fn synth_rejects_unrealizable_and_invalid_configs() {
+    let dir = workdir("badcfg");
+    let blif = dir.join("and5.blif");
+    fs::write(
+        &blif,
+        ".model and5\n.inputs a b c d e\n.outputs f\n.names a b c d e f\n11111 1\n.end\n",
+    )
+    .unwrap();
+    let path = blif.to_str().unwrap();
+    let cases: [(&[&str], &str); 7] = [
+        (&["--weight-cap", "1"], "weight cap 1 cannot realize"),
+        (
+            &["--psi", "5", "--delta-on", "1", "--weight-cap", "4"],
+            "weight cap 4 cannot realize the 5-input AND gate",
+        ),
+        (&["--delta-off", "0"], "delta_off must be at least 1"),
+        (&["--delta-on", "-1"], "delta_on must be non-negative"),
+        (&["--psi", "1"], "must be at least 2"),
+        (&["--psi", "-1"], "must be at least 2"),
+        (&["--weight-cap", "0"], "weight_cap must be at least 1"),
+    ];
+    for (flags, message) in cases {
+        let mut args = vec!["synth", path];
+        args.extend_from_slice(flags);
+        let o = tels(&args);
+        let err = stderr(&o);
+        assert_eq!(o.status.code(), Some(1), "{flags:?}: {err}");
+        assert!(err.contains(message), "{flags:?}: {err}");
+        assert!(!err.contains("panicked"), "{flags:?}: {err}");
+    }
+}
+
 #[test]
 fn qca_command_emits_majority_blif() {
     let dir = workdir("qca");

@@ -21,10 +21,13 @@
 //! exact-rational oracle only on overflow. [`SolverBreakdown`] reports
 //! where each check spent its time across these tiers.
 //!
-//! [`check_threshold_cached`] additionally memoizes answers in a
-//! [`RealizationCache`] keyed by the canonical positive-unate form, so
+//! Every query past the tier-0 oracle is decided in canonical space — on
+//! the canonical positive-unate form of the function — and remapped onto
+//! the query's variables and phases. The synthesis driver additionally
+//! memoizes those answers in a [`RealizationCache`] keyed by that form, so
 //! repeated queries for the same function — under any variable renaming or
-//! phase assignment — are answered by an exact remap instead of a solve.
+//! phase assignment — are answered by an exact remap instead of a solve;
+//! with or without the cache, the answer is the same.
 
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -197,6 +200,10 @@ impl Realization {
 /// Decides whether the unate cover `f` is a threshold function, returning
 /// its minimal-area weight-threshold vector when it is (Fig. 6).
 ///
+/// The query runs through the same decider the synthesis driver uses, so
+/// the realization is decided in canonical space and carries exactly the
+/// weights a synthesis run would emit for this function.
+///
 /// Returns `Ok(None)` when `f` is not a threshold function — including when
 /// `f` is syntactically binate (every threshold function is unate, §II-B)
 /// or when the ILP effort limits are exhausted without a feasible incumbent
@@ -208,98 +215,37 @@ impl Realization {
 /// exact solver.
 pub fn check_threshold(f: &Sop, config: &TelsConfig) -> Result<Option<Realization>, SynthError> {
     let mut solver = SolverBreakdown::default();
-    Ok(check_threshold_counted(f, config, None, &mut solver)?.0)
+    let mut scratch = SignatureScratch::new();
+    Ok(decide_threshold(f, config, None, None, &mut solver, &mut scratch)?.0)
 }
 
-/// Runs the structure pass with its time billed to `solver`.
-fn timed_structure(positive: &Sop, order: &[Var], solver: &mut SolverBreakdown) -> Structure {
+/// Non-negative positive-form weights (one per variable of the solved
+/// order) and the threshold, as found by [`solve_positive`].
+type PositiveSolution = (Vec<i64>, i64);
+
+/// The structure pass (time billed to `solver`), then — unless it proves
+/// the cover non-threshold — the ILP over `positive` in `order`.
+fn structure_and_solve(
+    positive: &Sop,
+    order: &[Var],
+    config: &TelsConfig,
+    solver: &mut SolverBreakdown,
+) -> Result<(Option<PositiveSolution>, CheckVia), SynthError> {
     let t0 = Instant::now();
     let structure = chow::analyze(positive, order);
     solver.structure_ns += t0.elapsed().as_nanos() as u64;
-    structure
-}
-
-/// [`check_threshold`], also reporting *how* the query was decided
-/// ([`CheckVia::Trivial`] for constants and binate rejections,
-/// [`CheckVia::Tier0`] for oracle answers, [`CheckVia::Tier05`] for
-/// tier-0.5 decisions and negative-cache hits, [`CheckVia::Prefilter`]
-/// for 2-monotonicity rejections, [`CheckVia::Ilp`] for actual solves).
-/// Solver-tier counters accumulate into `solver`; `neg` is the run's
-/// negative cache, when one exists.
-pub(crate) fn check_threshold_counted(
-    f: &Sop,
-    config: &TelsConfig,
-    neg: Option<&NegativeCache>,
-    solver: &mut SolverBreakdown,
-) -> Result<(Option<Realization>, CheckVia), SynthError> {
-    let mut span = tels_trace::span("core", "threshold_check");
-    let result = check_threshold_counted_impl(f, config, neg, solver);
-    if let Ok((_, via)) = &result {
-        span.arg("via", via.as_str());
-        via.count_metric();
-    }
-    result
-}
-
-fn check_threshold_counted_impl(
-    f: &Sop,
-    config: &TelsConfig,
-    neg: Option<&NegativeCache>,
-    solver: &mut SolverBreakdown,
-) -> Result<(Option<Realization>, CheckVia), SynthError> {
-    if f.is_zero() {
-        return Ok((
-            Some(Realization::constant(false, config)),
-            CheckVia::Trivial,
-        ));
-    }
-    if f.is_one() {
-        return Ok((Some(Realization::constant(true, config)), CheckVia::Trivial));
-    }
-    let Some(pf) = positive_form(f) else {
-        return Ok((None, CheckVia::Trivial));
-    };
-    record_support(&pf, solver);
-    if let Some(answer) = tier0_answer(&pf, config, solver) {
-        return Ok((answer, CheckVia::Tier0));
-    }
-    match tier05_flow(&pf.positive, &pf.support, config, neg, solver) {
-        Tier05Flow::NegCacheHit | Tier05Flow::NotThreshold => {
-            return Ok((None, CheckVia::Tier05));
-        }
-        Tier05Flow::PrefilterReject => return Ok((None, CheckVia::Prefilter)),
-        Tier05Flow::Threshold(wpos, t) => {
-            return Ok((Some(back_substitute(&wpos, t, &pf)), CheckVia::Tier05));
-        }
-        Tier05Flow::Fallthrough(chow, neg_key) => {
-            let solved = solve_positive(&pf.positive, &pf.support, chow.as_ref(), config, solver)?;
-            if solved.is_none() {
-                if let (Some(neg), Some(neg_key)) = (neg, neg_key) {
-                    neg.insert(neg_key);
-                }
-            }
-            return Ok((
-                solved.map(|(wpos, t)| back_substitute(&wpos, t, &pf)),
-                CheckVia::Ilp,
-            ));
-        }
-        Tier05Flow::NotApplicable => {}
-    }
-    let chow = match timed_structure(&pf.positive, &pf.support, solver) {
+    let chow = match structure {
         Structure::NotThreshold => return Ok((None, CheckVia::Prefilter)),
         Structure::TwoMonotonic(a) => Some(a),
         Structure::Unknown => None,
     };
-    let solved = solve_positive(&pf.positive, &pf.support, chow.as_ref(), config, solver)?;
-    Ok((
-        solved.map(|(wpos, t)| back_substitute(&wpos, t, &pf)),
-        CheckVia::Ilp,
-    ))
+    let solved = solve_positive(positive, order, chow.as_ref(), config, solver)?;
+    Ok((solved, CheckVia::Ilp))
 }
 
 /// Outcome of the tier-0.5 layer for one query.
 enum Tier05Flow {
-    /// Tier inactive or support out of its 6–9 range — take the legacy
+    /// Tier inactive or support out of its 6–9 range — take the plain
     /// structure + solve path.
     NotApplicable,
     /// The Chow-canonical signature is a known rejection.
@@ -321,8 +267,8 @@ enum Tier05Flow {
 /// Runs the tier-0.5 layer: one truth-table build shared between the
 /// negative-cache probe, the structure analysis, and the decision
 /// procedure. Table build, probe, and decision time bill to `tier05_ns`;
-/// the structure pass bills to `structure_ns` exactly as on the legacy
-/// path.
+/// the structure pass bills to `structure_ns` exactly as on the plain
+/// structure + solve path.
 fn tier05_flow(
     positive: &Sop,
     order: &[Var],
@@ -422,7 +368,7 @@ fn tier0_answer(
     }))
 }
 
-/// How a [`check_threshold_cached`] query was decided (statistics
+/// How a [`decide_threshold`] query was decided (statistics
 /// bucketing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CheckVia {
@@ -474,28 +420,31 @@ impl CheckVia {
     }
 }
 
-/// [`check_threshold`] through the canonical realization cache.
+/// The one threshold decider behind [`check_threshold`] and the synthesis
+/// driver, also reporting *how* the query was decided.
 ///
-/// Small-support queries are answered by the tier-0 oracle first (when
-/// [`TelsConfig::tier0_active`]) and never touch the cache. On a miss the
-/// query is decided *in canonical space* — the Theorem-1 filter (when
-/// enabled), the 2-monotonicity pre-filter, then the ILP over the
-/// canonical cover — and the canonical answer is memoized. Hit or miss,
-/// the caller receives the canonical answer remapped onto the query's
-/// variables and phases, so the result depends only on the function's
-/// canonical form, never on which query (or which job) populated the
-/// cache. `scratch` carries the canonicalization buffers, reused
-/// across calls by hot loops.
-pub(crate) fn check_threshold_cached(
+/// Run order: constants and binate covers ([`CheckVia::Trivial`]), the
+/// tier-0 oracle for small supports (it never touches the cache), then
+/// canonicalization and, in canonical space, the cache probe (when `cache`
+/// is given), the Theorem-1 filter (when enabled), tier 0.5, the
+/// 2-monotonicity pre-filter, and the ILP over the canonical cover. The
+/// canonical answer is remapped onto the query's variables and phases, so
+/// the result depends only on the function's canonical form — never on
+/// whether a cache was given or which query (or job) populated it. The
+/// cache is a pure memoization: with it, a repeated key is answered by a
+/// remap instead of a fresh decision. Solver-tier counters accumulate into
+/// `solver`; `neg` is the run's negative cache, when one exists; `scratch`
+/// carries the canonicalization buffers, reused across calls by hot loops.
+pub(crate) fn decide_threshold(
     f: &Sop,
     config: &TelsConfig,
-    cache: &RealizationCache,
+    cache: Option<&RealizationCache>,
     neg: Option<&NegativeCache>,
     solver: &mut SolverBreakdown,
     scratch: &mut SignatureScratch,
 ) -> Result<(Option<Realization>, CheckVia), SynthError> {
     let mut span = tels_trace::span("core", "threshold_check");
-    let result = check_threshold_cached_impl(f, config, cache, neg, solver, scratch);
+    let result = decide_threshold_impl(f, config, cache, neg, solver, scratch);
     if let Ok((_, via)) = &result {
         span.arg("via", via.as_str());
         via.count_metric();
@@ -503,10 +452,10 @@ pub(crate) fn check_threshold_cached(
     result
 }
 
-fn check_threshold_cached_impl(
+fn decide_threshold_impl(
     f: &Sop,
     config: &TelsConfig,
-    cache: &RealizationCache,
+    cache: Option<&RealizationCache>,
     neg: Option<&NegativeCache>,
     solver: &mut SolverBreakdown,
     scratch: &mut SignatureScratch,
@@ -536,32 +485,41 @@ fn check_threshold_cached_impl(
         tels_metrics::instruments::CHECK_CANON_NS.add(t0.elapsed().as_nanos() as u64);
     }
     if !canon_ok {
-        // Support too wide for a 64-bit canonical key: solve uncached
-        // (such supports are also past the structure pass's limit).
-        let chow = match timed_structure(&pf.positive, &pf.support, solver) {
-            Structure::NotThreshold => return Ok((None, CheckVia::Prefilter)),
-            Structure::TwoMonotonic(a) => Some(a),
-            Structure::Unknown => None,
-        };
-        let solved = solve_positive(&pf.positive, &pf.support, chow.as_ref(), config, solver)?;
-        return Ok((
-            solved.map(|(wpos, t)| back_substitute(&wpos, t, &pf)),
-            CheckVia::Ilp,
-        ));
+        // Support too wide for a 64-bit canonical key: solve in the
+        // query's own order (such supports are also past the structure
+        // pass's limit).
+        let (solved, via) = structure_and_solve(&pf.positive, &pf.support, config, solver)?;
+        return Ok((solved.map(|(wpos, t)| back_substitute(&wpos, t, &pf)), via));
     }
     let (key, order) = (scratch.key(), scratch.order());
-    if let Some(entry) = cache.lookup(key) {
+    if let Some(entry) = cache.and_then(|c| c.lookup(key)) {
         return Ok((
             realize_canonical(entry.as_ref(), order, &pf),
             CheckVia::CacheHit,
         ));
     }
-    // Miss. Theorem 1 is a sound refutation (it never rejects a true
-    // threshold function), so its verdict may be memoized under the
-    // canonical key as well. Keys are copied out of the scratch only at
-    // the (rare) insert points.
+    let (entry, via) = decide_canonical(f, key, config, neg, solver)?;
+    let result = realize_canonical(entry.as_ref(), order, &pf);
+    // Keys are copied out of the scratch only at the insert point.
+    if let Some(cache) = cache {
+        cache.insert(key.to_vec(), entry);
+    }
+    Ok((result, via))
+}
+
+/// Decides the query `f` whose canonical key is `key`, in canonical space.
+/// Every verdict here is a pure function of the key and the configuration
+/// fields in [`TelsConfig::cache_key`] — Theorem 1 is a sound refutation
+/// (it never rejects a true threshold function), and tier 0.5 answers only
+/// with the ILP's own optimum — so each one may be memoized under the key.
+fn decide_canonical(
+    f: &Sop,
+    key: &[u64],
+    config: &TelsConfig,
+    neg: Option<&NegativeCache>,
+    solver: &mut SolverBreakdown,
+) -> Result<(Option<CanonicalRealization>, CheckVia), SynthError> {
     if config.use_theorem1 && theorem1_refutes(f) {
-        cache.insert(key.to_vec(), None);
         return Ok((None, CheckVia::Theorem1));
     }
     let k = key[0] as usize;
@@ -573,52 +531,28 @@ fn check_threshold_cached_impl(
                 .map(|j| (Var(j), true)),
         )
     }));
-    // Tier 0.5 in canonical space: its answers are exactly what the ILP
-    // would have produced, so they memoize in the realization cache the
-    // same way (rejections also feed the negative cache inside
-    // `tier05_flow`).
+    let entry = |(weights, threshold)| CanonicalRealization { weights, threshold };
+    // Rejections also feed the negative cache inside `tier05_flow`.
     match tier05_flow(&canon, &canon_order, config, neg, solver) {
-        Tier05Flow::NegCacheHit | Tier05Flow::NotThreshold => {
-            cache.insert(key.to_vec(), None);
-            return Ok((None, CheckVia::Tier05));
-        }
-        Tier05Flow::PrefilterReject => {
-            cache.insert(key.to_vec(), None);
-            return Ok((None, CheckVia::Prefilter));
-        }
+        Tier05Flow::NegCacheHit | Tier05Flow::NotThreshold => Ok((None, CheckVia::Tier05)),
+        Tier05Flow::PrefilterReject => Ok((None, CheckVia::Prefilter)),
         Tier05Flow::Threshold(weights, threshold) => {
-            let entry = Some(CanonicalRealization { weights, threshold });
-            let result = realize_canonical(entry.as_ref(), order, &pf);
-            cache.insert(key.to_vec(), entry);
-            return Ok((result, CheckVia::Tier05));
+            Ok((Some(entry((weights, threshold))), CheckVia::Tier05))
         }
         Tier05Flow::Fallthrough(chow, neg_key) => {
-            let entry = solve_positive(&canon, &canon_order, chow.as_ref(), config, solver)?
-                .map(|(weights, threshold)| CanonicalRealization { weights, threshold });
-            if entry.is_none() {
+            let solved = solve_positive(&canon, &canon_order, chow.as_ref(), config, solver)?;
+            if solved.is_none() {
                 if let (Some(neg), Some(neg_key)) = (neg, neg_key) {
                     neg.insert(neg_key);
                 }
             }
-            let result = realize_canonical(entry.as_ref(), order, &pf);
-            cache.insert(key.to_vec(), entry);
-            return Ok((result, CheckVia::Ilp));
+            Ok((solved.map(entry), CheckVia::Ilp))
         }
-        Tier05Flow::NotApplicable => {}
+        Tier05Flow::NotApplicable => {
+            let (solved, via) = structure_and_solve(&canon, &canon_order, config, solver)?;
+            Ok((solved.map(entry), via))
+        }
     }
-    let chow = match timed_structure(&canon, &canon_order, solver) {
-        Structure::NotThreshold => {
-            cache.insert(key.to_vec(), None);
-            return Ok((None, CheckVia::Prefilter));
-        }
-        Structure::TwoMonotonic(a) => Some(a),
-        Structure::Unknown => None,
-    };
-    let entry = solve_positive(&canon, &canon_order, chow.as_ref(), config, solver)?
-        .map(|(weights, threshold)| CanonicalRealization { weights, threshold });
-    let result = realize_canonical(entry.as_ref(), order, &pf);
-    cache.insert(key.to_vec(), entry);
-    Ok((result, CheckVia::Ilp))
 }
 
 /// The positive-unate normal form of a unate cover.
@@ -682,7 +616,7 @@ fn solve_positive(
     chow: Option<&ChowAnalysis>,
     config: &TelsConfig,
     solver: &mut SolverBreakdown,
-) -> Result<Option<(Vec<i64>, i64)>, SynthError> {
+) -> Result<Option<PositiveSolution>, SynthError> {
     let k = order.len();
     debug_assert!(chow.is_none_or(|a| a.num_vars() == k));
     let merge = chow.is_some() && config.weight_cap.is_none();
@@ -900,6 +834,15 @@ mod tests {
         check_threshold(f, &TelsConfig::default()).unwrap()
     }
 
+    /// One cache-less query through the decider, with its verdict.
+    fn counted(
+        f: &Sop,
+        config: &TelsConfig,
+        solver: &mut SolverBreakdown,
+    ) -> (Option<Realization>, CheckVia) {
+        decide_threshold(f, config, None, None, solver, &mut SignatureScratch::new()).unwrap()
+    }
+
     /// Exhaustively validates a realization against the function.
     fn validate(f: &Sop, r: &Realization) {
         let vars: Vec<Var> = f.support().iter().collect();
@@ -1027,14 +970,16 @@ mod tests {
             chow::analyze(&pf.positive, &pf.support),
             Structure::NotThreshold
         ));
-        // The counted path therefore reports that no solve happened
-        // (tier 0 off so the pre-filter, not the oracle, answers).
+        // The decider therefore reports that no solve happened (tier 0
+        // and Theorem 1 off so the pre-filter, not the oracle or the
+        // substitution test, answers).
         let cfg = TelsConfig {
             use_tier0: false,
+            use_theorem1: false,
             ..TelsConfig::default()
         };
         let mut solver = SolverBreakdown::default();
-        let (r, via) = check_threshold_counted(&f, &cfg, None, &mut solver).unwrap();
+        let (r, via) = counted(&f, &cfg, &mut solver);
         assert_eq!(r, None);
         assert_eq!(via, CheckVia::Prefilter);
         assert_eq!(solver.ilp_solves(), 0);
@@ -1083,7 +1028,7 @@ mod tests {
             ..TelsConfig::default()
         };
         let mut solver = SolverBreakdown::default();
-        let (r, via) = check_threshold_counted(&f, &cfg, None, &mut solver).unwrap();
+        let (r, via) = counted(&f, &cfg, &mut solver);
         let r = r.expect("majority-of-5 is threshold");
         assert_eq!(via, CheckVia::Ilp);
         validate(&f, &r);
@@ -1102,7 +1047,7 @@ mod tests {
         };
         let g = sop(&[&[(0, true), (1, true)], &[(0, true), (2, true)]]);
         let mut solver = SolverBreakdown::default();
-        let (r, _) = check_threshold_counted(&g, &cfg, None, &mut solver).unwrap();
+        let (r, _) = counted(&g, &cfg, &mut solver);
         let r = r.expect("threshold within cap");
         validate(&g, &r);
         assert!(r.weights.iter().all(|&(_, w)| w.abs() <= 4));
@@ -1134,8 +1079,8 @@ mod tests {
         ] {
             let mut st = SolverBreakdown::default();
             let mut so = SolverBreakdown::default();
-            let (rt, _) = check_threshold_counted(&f, &tiered_cfg, None, &mut st).unwrap();
-            let (ro, _) = check_threshold_counted(&f, &oracle_cfg, None, &mut so).unwrap();
+            let (rt, _) = counted(&f, &tiered_cfg, &mut st);
+            let (ro, _) = counted(&f, &oracle_cfg, &mut so);
             assert_eq!(rt, ro, "{f}");
             assert_eq!(so.int_fast_path_solves, 0);
         }
@@ -1165,13 +1110,13 @@ mod tests {
         for f in &fns {
             let direct = check_threshold(f, &cfg).unwrap();
             let (first, _) =
-                check_threshold_cached(f, &cfg, &cache, None, &mut solver, &mut scratch).unwrap();
+                decide_threshold(f, &cfg, Some(&cache), None, &mut solver, &mut scratch).unwrap();
             let (second, _) =
-                check_threshold_cached(f, &cfg, &cache, None, &mut solver, &mut scratch).unwrap();
-            // Hit must equal miss bit-for-bit, and agree with the plain
-            // checker on the decision.
+                decide_threshold(f, &cfg, Some(&cache), None, &mut solver, &mut scratch).unwrap();
+            // Hit must equal miss bit-for-bit, and both must equal the
+            // cache-less checker: the cache only memoizes.
             assert_eq!(first, second, "{f}");
-            assert_eq!(direct.is_some(), first.is_some(), "{f}");
+            assert_eq!(direct, first, "{f}");
             if let Some(r) = &first {
                 validate(f, r);
             }
@@ -1192,13 +1137,13 @@ mod tests {
         // x₁x₂ ∨ x₁x₃ populates the cache ...
         let a = sop(&[&[(1, true), (2, true)], &[(1, true), (3, true)]]);
         let (ra, via_a) =
-            check_threshold_cached(&a, &cfg, &cache, None, &mut solver, &mut scratch).unwrap();
+            decide_threshold(&a, &cfg, Some(&cache), None, &mut solver, &mut scratch).unwrap();
         assert_eq!(via_a, CheckVia::Ilp);
         // ... and x̄₅x₇ ∨ x̄₅x₉ — the same function up to renaming and
         // phase — must hit and remap exactly.
         let b = sop(&[&[(5, false), (7, true)], &[(5, false), (9, true)]]);
         let (rb, via_b) =
-            check_threshold_cached(&b, &cfg, &cache, None, &mut solver, &mut scratch).unwrap();
+            decide_threshold(&b, &cfg, Some(&cache), None, &mut solver, &mut scratch).unwrap();
         assert_eq!(via_b, CheckVia::CacheHit);
         let (ra, rb) = (ra.unwrap(), rb.unwrap());
         validate(&b, &rb);
@@ -1220,13 +1165,13 @@ mod tests {
         let mut scratch = SignatureScratch::new();
         let f = sop(&[&[(0, true), (1, true)], &[(2, true), (3, true)]]);
         let (r1, via1) =
-            check_threshold_cached(&f, &cfg, &cache, None, &mut solver, &mut scratch).unwrap();
+            decide_threshold(&f, &cfg, Some(&cache), None, &mut solver, &mut scratch).unwrap();
         assert_eq!(r1, None);
         // Theorem 1 (enabled by default) refutes this one before the
         // pre-filter gets a look.
         assert_eq!(via1, CheckVia::Theorem1);
         let (r2, via2) =
-            check_threshold_cached(&f, &cfg, &cache, None, &mut solver, &mut scratch).unwrap();
+            decide_threshold(&f, &cfg, Some(&cache), None, &mut solver, &mut scratch).unwrap();
         assert_eq!(r2, None);
         assert_eq!(via2, CheckVia::CacheHit);
         // With Theorem 1 disabled, the 2-monotonicity pre-filter catches it.
@@ -1237,7 +1182,7 @@ mod tests {
         };
         let cache2 = RealizationCache::new();
         let (_, via3) =
-            check_threshold_cached(&f, &cfg2, &cache2, None, &mut solver, &mut scratch).unwrap();
+            decide_threshold(&f, &cfg2, Some(&cache2), None, &mut solver, &mut scratch).unwrap();
         assert_eq!(via3, CheckVia::Prefilter);
     }
 
@@ -1289,8 +1234,8 @@ mod tests {
         ] {
             let mut s_on = SolverBreakdown::default();
             let mut s_off = SolverBreakdown::default();
-            let (r_on, via) = check_threshold_counted(&f, &on, None, &mut s_on).unwrap();
-            let (r_off, _) = check_threshold_counted(&f, &off, None, &mut s_off).unwrap();
+            let (r_on, via) = counted(&f, &on, &mut s_on);
+            let (r_off, _) = counted(&f, &off, &mut s_off);
             // Same Option<Realization>, bit for bit: same weights, same
             // threshold, same variable order.
             assert_eq!(r_on, r_off, "{f}");
@@ -1313,7 +1258,7 @@ mod tests {
         let mut scratch = SignatureScratch::new();
         let f = sop(&[&[(0, true), (1, true)], &[(0, true), (2, true)]]);
         let (r1, via1) =
-            check_threshold_cached(&f, &cfg, &cache, None, &mut solver, &mut scratch).unwrap();
+            decide_threshold(&f, &cfg, Some(&cache), None, &mut solver, &mut scratch).unwrap();
         assert_eq!(via1, CheckVia::Tier0);
         assert!(r1.is_some());
         assert!(
@@ -1322,7 +1267,7 @@ mod tests {
         );
         // Second query re-resolves through the oracle, identically.
         let (r2, via2) =
-            check_threshold_cached(&f, &cfg, &cache, None, &mut solver, &mut scratch).unwrap();
+            decide_threshold(&f, &cfg, Some(&cache), None, &mut solver, &mut scratch).unwrap();
         assert_eq!(via2, CheckVia::Tier0);
         assert_eq!(r1, r2);
         assert_eq!(solver.tier0_lookups, 2);
@@ -1347,9 +1292,9 @@ mod tests {
         for bits in (0u32..=u16::MAX as u32).step_by(stride as usize) {
             let f = sop_of_bits(4, bits);
             let (r_on, _) =
-                check_threshold_cached(&f, &on, &cache_on, None, &mut s_on, &mut scratch).unwrap();
+                decide_threshold(&f, &on, Some(&cache_on), None, &mut s_on, &mut scratch).unwrap();
             let (r_off, _) =
-                check_threshold_cached(&f, &off, &cache_off, None, &mut s_off, &mut scratch)
+                decide_threshold(&f, &off, Some(&cache_off), None, &mut s_off, &mut scratch)
                     .unwrap();
             assert_eq!(r_on, r_off, "tt {bits:#06x}: {f}");
             if let Some(r) = &r_on {

@@ -2,6 +2,8 @@
 
 use tels_ilp::Limits;
 
+use crate::error::SynthError;
+
 /// Overall synthesis strategy.
 ///
 /// The paper's algorithm traverses backward from the outputs, collapsing
@@ -138,20 +140,11 @@ pub struct TelsConfig {
     /// Memoize threshold-check answers in a canonical-form cache shared
     /// across the whole run.
     ///
-    /// Cached answers are decided in canonical space, so the synthesized
-    /// network is a pure function of the input and the configuration —
-    /// but its gate weights may differ from a `use_cache = false` run
-    /// (which solves every query in its original variable order). Both are
-    /// exact realizations of the same functions.
+    /// Every query is decided in canonical space whether or not the cache
+    /// is on, so this is a pure performance knob: the synthesized network
+    /// is byte-identical either way; only the cache-hit counters and the
+    /// work they save differ.
     pub use_cache: bool,
-    /// Smallest logic-node count for which the canonical realization
-    /// cache engages at all. A c17-sized circuit issues a handful of
-    /// threshold queries, and canonicalizing and hashing them costs more
-    /// than just solving (such circuits were measurably *slower* with
-    /// `use_cache` on), so below the gate the run solves every query
-    /// directly regardless of `use_cache`. Default tuned on the bundled
-    /// bench suite.
-    pub parallel_min_nodes: usize,
     /// Attempt each LP relaxation on the fraction-free `i128` integer
     /// simplex before the exact-rational one (overflow always falls back,
     /// so answers are identical either way). Disable to force every solve
@@ -193,7 +186,6 @@ impl Default for TelsConfig {
             strategy: SynthStrategy::default(),
             weight_cap: None,
             use_cache: true,
-            parallel_min_nodes: 8,
             use_int_solver: true,
             use_tier0: true,
             use_tier05: true,
@@ -219,22 +211,27 @@ impl TelsConfig {
         }
     }
 
-    /// Validates the configuration.
+    /// Validates the configuration: the one check shared by the library
+    /// entry points, the CLI, and `tels serve`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `psi < 2` or a tolerance is negative — such configurations
+    /// Returns [`SynthError::Config`] if `psi < 2`, `delta_on < 0`,
+    /// `delta_off < 1`, or a weight cap is below 1 — such configurations
     /// cannot realize any two-input gate.
-    pub fn assert_valid(&self) {
-        assert!(self.psi >= 2, "fanin restriction must be at least 2");
-        assert!(self.delta_on >= 0, "delta_on must be non-negative");
-        assert!(
-            self.delta_off >= 1,
+    pub fn validate(&self) -> Result<(), SynthError> {
+        let problem = if self.psi < 2 {
+            "psi (the fanin restriction) must be at least 2"
+        } else if self.delta_on < 0 {
+            "delta_on must be non-negative"
+        } else if self.delta_off < 1 {
             "delta_off must be at least 1 (OFF minterms sit strictly below T)"
-        );
-        if let Some(cap) = self.weight_cap {
-            assert!(cap >= 1, "weight cap must be at least 1");
-        }
+        } else if self.weight_cap.is_some_and(|cap| cap < 1) {
+            "weight_cap must be at least 1"
+        } else {
+            return Ok(());
+        };
+        Err(SynthError::Config(problem.to_string()))
     }
 
     /// Whether the tier-0 truth-table oracle may answer queries under this
@@ -291,9 +288,7 @@ mod tests {
 
     #[test]
     fn cache_defaults() {
-        let c = TelsConfig::default();
-        assert!(c.use_cache);
-        assert_eq!(c.parallel_min_nodes, 8);
+        assert!(TelsConfig::default().use_cache);
     }
 
     #[test]
@@ -356,12 +351,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fanin restriction")]
     fn psi_one_rejected() {
-        TelsConfig {
+        let err = TelsConfig {
             psi: 1,
             ..TelsConfig::default()
         }
-        .assert_valid();
+        .validate()
+        .unwrap_err();
+        assert!(matches!(err, SynthError::Config(_)), "{err:?}");
+        assert!(err.to_string().contains("fanin restriction"), "{err}");
+        assert_eq!(TelsConfig::default().validate(), Ok(()));
     }
 }

@@ -24,6 +24,10 @@ pub enum SynthError {
     /// A cover reached a splitting routine that cannot decompose it (for
     /// example a single-cube or constant cover handed to the unate split).
     Split(String),
+    /// The configuration cannot be synthesized with: a field out of range
+    /// (see [`TelsConfig::validate`](crate::TelsConfig::validate)), or a
+    /// weight cap too small for a gate the flow must emit.
+    Config(String),
     /// An internal invariant was violated (a bug in the synthesizer).
     Internal(String),
 }
@@ -37,6 +41,7 @@ impl fmt::Display for SynthError {
                 write!(f, "parse error at line {line}: {message}")
             }
             SynthError::Split(m) => write!(f, "split error: {m}"),
+            SynthError::Config(m) => write!(f, "invalid configuration: {m}"),
             SynthError::Internal(m) => write!(f, "internal synthesis error: {m}"),
         }
     }

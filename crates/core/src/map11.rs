@@ -10,6 +10,7 @@ use tels_logic::{Cube, Network, NodeKind};
 use crate::check::check_threshold;
 use crate::config::TelsConfig;
 use crate::error::SynthError;
+use crate::synth::unrealizable;
 use crate::tnet::{ThresholdGate, ThresholdNetwork};
 
 /// Replaces every simple gate of the (decomposed) network with a single
@@ -22,7 +23,10 @@ use crate::tnet::{ThresholdGate, ThresholdNetwork};
 ///
 /// # Errors
 ///
-/// Returns an error if the network is cyclic or the ILP solver overflows.
+/// Returns [`SynthError::Config`] if the configuration fails
+/// [`TelsConfig::validate`] or its `weight_cap` is too small for a
+/// decomposed gate; otherwise an error only if the network is cyclic or
+/// the ILP solver overflows.
 ///
 /// # Example
 ///
@@ -40,7 +44,7 @@ use crate::tnet::{ThresholdGate, ThresholdNetwork};
 /// # }
 /// ```
 pub fn map_one_to_one(net: &Network, config: &TelsConfig) -> Result<ThresholdNetwork, SynthError> {
-    config.assert_valid();
+    config.validate()?;
     let simple = decompose(net, config.psi);
     let mut tn = ThresholdNetwork::new(simple.model().to_string());
     let mut map: HashMap<tels_logic::NodeId, crate::tnet::TnId> = HashMap::new();
@@ -63,11 +67,7 @@ pub fn map_one_to_one(net: &Network, config: &TelsConfig) -> Result<ThresholdNet
             Some(hit) => hit.clone(),
             None => {
                 let r = check_threshold(sop, config)?.ok_or_else(|| {
-                    SynthError::Internal(format!(
-                        "decomposed gate `{}` is not a threshold function: {}",
-                        simple.name(id),
-                        sop
-                    ))
+                    unrealizable(config, &format!("decomposed `{}` ({sop})", simple.name(id)))
                 })?;
                 // Realization weights are sorted by variable; for simple
                 // gates every input has the same local index order.

@@ -14,13 +14,11 @@ use tels_logic::opt::global_sop;
 use tels_logic::{Cube, Network, NodeId, SignatureScratch, Sop, Var};
 
 use crate::cache::RealizationCache;
-use crate::check::{
-    check_threshold_cached, check_threshold_counted, CheckVia, Realization, SolverBreakdown,
-};
+use crate::check::{decide_threshold, CheckVia, Realization, SolverBreakdown};
 use crate::config::TelsConfig;
 use crate::error::SynthError;
 use crate::split::{split_binate, split_cubes_k, split_unate_with, UnateSplit};
-use crate::theorems::{theorem1_refutes, theorem2_extend};
+use crate::theorems::theorem2_extend;
 use crate::tier05::NegativeCache;
 use crate::tnet::{ThresholdGate, ThresholdNetwork, TnId};
 
@@ -201,7 +199,11 @@ fn run_with_depth_stack<T: Send>(
 ///
 /// # Errors
 ///
-/// Returns an error if `net` is cyclic or the exact ILP solver overflows.
+/// Returns [`SynthError::Config`] if the configuration fails
+/// [`TelsConfig::validate`] or its `weight_cap` is too small for a gate the
+/// flow must emit (a buffer or inverter, an AND of up to ψ terms, an OR
+/// glue); otherwise an error only if `net` is cyclic or the exact ILP
+/// solver overflows.
 ///
 /// # Example
 ///
@@ -238,11 +240,11 @@ pub fn synthesize_with_stats(
 /// caches — the `tels serve` entry point, where both caches outlive many
 /// jobs (and persist across daemon restarts).
 ///
-/// The realization cache engages under exactly the same gate as the
-/// one-shot flow (`use_cache` and the `parallel_min_nodes` size
-/// threshold), so the emitted network is byte-identical to a one-shot run
-/// of the same configuration: pre-populated entries only change *when* an
-/// answer is computed, never what it is.
+/// Every query is decided in canonical space, so the emitted network is
+/// byte-identical to a one-shot run of the same configuration:
+/// pre-populated entries only change *when* an answer is computed, never
+/// what it is. With `use_cache` off the realization cache is neither read
+/// nor written.
 ///
 /// The caller must only reuse the caches across configurations that agree
 /// on [`TelsConfig::cache_key`]; realization entries are pure functions of
@@ -258,18 +260,9 @@ pub fn synthesize_with_shared_caches(
     cache: &RealizationCache,
     neg: &NegativeCache,
 ) -> Result<(ThresholdNetwork, SynthStats), SynthError> {
-    config.assert_valid();
+    config.validate()?;
     let mut span = tels_trace::span("core", "synthesize");
-    // Tiny circuits issue a handful of threshold queries; canonicalizing
-    // and hashing them costs more than just solving (the c17-sized
-    // regression), so below the gate every query is solved directly. The
-    // negative cache engages regardless of size: its probe is a table
-    // build plus one hash lookup, far cheaper than the solve it
-    // short-circuits.
-    let logic_nodes = net.node_ids().filter(|&n| !net.is_input(n)).count();
-    let big_enough = logic_nodes >= config.parallel_min_nodes;
-    let engaged = (config.use_cache && big_enough).then_some(cache);
-    let mut s = Synth::new(net, config, engaged, neg)?;
+    let mut s = Synth::new(net, config, config.use_cache.then_some(cache), neg)?;
     run_with_depth_stack(net, || s.run())??;
     span.arg("gates", s.tn.num_gates() as u64);
     span.arg("ilp_calls", s.stats.ilp_calls as u64);
@@ -284,9 +277,8 @@ const COLLAPSE_CUBE_CAP: usize = 64;
 struct Synth<'a> {
     net: &'a Network,
     config: &'a TelsConfig,
-    /// Canonical threshold-check cache (None when `config.use_cache` is
-    /// off; the run then solves every query in its original variable
-    /// order, reproducing the pre-cache flow bit-for-bit).
+    /// Canonical realization cache (`None` when `config.use_cache` is
+    /// off; queries are then decided in canonical space all the same).
     cache: Option<&'a RealizationCache>,
     /// Chow-canonical negative cache for the tier-0.5 layer.
     neg: &'a NegativeCache,
@@ -462,56 +454,30 @@ impl<'a> Synth<'a> {
         )
     }
 
-    /// One threshold check with the Theorem-1 filter, also reporting how
-    /// the query was decided (provenance tagging for the emitted gate).
-    fn checked_threshold(
-        &mut self,
-        expr: &Sop,
-    ) -> Result<(Option<Realization>, CheckVia), SynthError> {
-        // With the cache enabled, Theorem 1 runs inside the cached checker
-        // (miss path only) so a cache hit skips it; without, it runs here
-        // as the pre-cache flow did. Either way the query counts toward
-        // `ilp_calls` — the cached flow tallies it inside query_threshold,
-        // so the serial refutation must tally it too or the two runs'
-        // call counts diverge. Queries the tier-0 oracle will answer skip
-        // the filter: the lookup is definitive and cheaper than the
-        // substitution test.
-        if self.cache.is_none()
-            && self.config.use_theorem1
-            && !(self.config.tier0_active() && expr.support().len() <= crate::tier0::MAX_VARS)
-            && theorem1_refutes(expr)
-        {
-            self.stats.ilp_calls += 1;
-            self.stats.theorem1_refutations += 1;
-            return Ok((None, CheckVia::Theorem1));
-        }
-        self.query_threshold(expr)
-    }
-
-    /// One threshold query, through the canonical cache when enabled.
+    /// One threshold query, also reporting how it was decided (provenance
+    /// tagging for the emitted gate).
     fn query_threshold(&mut self, f: &Sop) -> Result<(Option<Realization>, CheckVia), SynthError> {
         self.stats.ilp_calls += 1;
-        let config = self.config;
-        match self.cache {
-            Some(cache) => {
-                let (r, via) = check_threshold_cached(
-                    f,
-                    config,
-                    cache,
-                    Some(self.neg),
-                    &mut self.stats.solver,
-                    &mut self.scratch,
-                )?;
-                self.bucket_via(via);
-                Ok((r, via))
-            }
-            None => {
-                let (r, via) =
-                    check_threshold_counted(f, config, Some(self.neg), &mut self.stats.solver)?;
-                self.bucket_via(via);
-                Ok((r, via))
-            }
-        }
+        let (r, via) = decide_threshold(
+            f,
+            self.config,
+            self.cache,
+            Some(self.neg),
+            &mut self.stats.solver,
+            &mut self.scratch,
+        )?;
+        self.bucket_via(via);
+        Ok((r, via))
+    }
+
+    /// The realization of a gate the flow must emit (a buffer or inverter,
+    /// an AND chunk, an OR glue, a Shannon prototype): every such prototype
+    /// is a threshold function, so only a too-small `weight_cap` can leave
+    /// it unrealized — reported as [`SynthError::Config`] naming the gate.
+    fn required_gate(&mut self, proto: &Sop) -> Result<Realization, SynthError> {
+        self.query_threshold(proto)?
+            .0
+            .ok_or_else(|| unrealizable(self.config, &describe(proto)))
     }
 
     /// Folds one query verdict into the run statistics (`tier0_lookups`
@@ -536,10 +502,7 @@ impl<'a> Synth<'a> {
         // w ≥ T + δ_on with T ≥ δ_off; inverter needs 0 ≥ T + δ_on with
         // −w ≤ T − δ_off.
         let proto = Sop::literal(Var(0), phase);
-        let r = self
-            .query_threshold(&proto)?
-            .0
-            .expect("single literals are threshold functions");
+        let r = self.required_gate(&proto)?;
         let weights: Vec<i64> = r.weights.iter().map(|&(_, w)| w).collect();
         let g = self.emit_raw_gate(vec![signal], weights, r.threshold, None, GatePath::Literal)?;
         self.literal_cache.insert((signal, phase), g);
@@ -555,10 +518,7 @@ impl<'a> Synth<'a> {
     ) -> Result<TnId, SynthError> {
         debug_assert!(children.len() >= 2 && children.len() <= self.config.psi);
         let proto = or_proto(children.len());
-        let r = self
-            .query_threshold(&proto)?
-            .0
-            .expect("disjunctions are threshold functions");
+        let r = self.required_gate(&proto)?;
         let weights: Vec<i64> = r.weights.iter().map(|&(_, w)| w).collect();
         self.emit_raw_gate(children, weights, r.threshold, name_hint, path)
     }
@@ -584,10 +544,7 @@ impl<'a> Synth<'a> {
             let take = terms.len().min(self.config.psi);
             let group: Vec<(TnId, bool)> = terms.drain(..take).collect();
             let proto = and_proto(group.iter().map(|&(_, phase)| phase));
-            let r = self
-                .query_threshold(&proto)?
-                .0
-                .expect("cubes are threshold functions");
+            let r = self.required_gate(&proto)?;
             let inputs: Vec<TnId> = group.iter().map(|&(s, _)| s).collect();
             let weights: Vec<i64> = r.weights.iter().map(|&(_, w)| w).collect();
             let last = terms.is_empty();
@@ -614,9 +571,7 @@ impl<'a> Synth<'a> {
         name_hint: Option<&str>,
         path: GatePath,
     ) -> Result<TnId, SynthError> {
-        let r = self.query_threshold(proto)?.0.ok_or_else(|| {
-            SynthError::Internal(format!("prototype {proto} is not a threshold function"))
-        })?;
+        let r = self.required_gate(proto)?;
         // Variables absent from the realization (redundant inputs) are
         // dropped; the realization's variables index `inputs`.
         let gate_inputs: Vec<TnId> = r
@@ -701,10 +656,7 @@ impl<'a> Synth<'a> {
                 return self.literal_gate(sig, phase);
             }
             let proto = Sop::literal(Var(0), phase);
-            let r = self
-                .query_threshold(&proto)?
-                .0
-                .expect("single literals are threshold functions");
+            let r = self.required_gate(&proto)?;
             let weights: Vec<i64> = r.weights.iter().map(|&(_, w)| w).collect();
             return self.emit_raw_gate(
                 vec![sig],
@@ -719,7 +671,7 @@ impl<'a> Synth<'a> {
         // Shannon expansion instead of the paper's Fig. 7/8 splitting.
         if self.config.strategy == crate::config::SynthStrategy::Shannon {
             if expr.is_unate() && expr.support().len() <= self.config.psi {
-                let (r, via) = self.checked_threshold(expr)?;
+                let (r, via) = self.query_threshold(expr)?;
                 if let Some(r) = r {
                     return self.emit_gate(&r, name_hint, path_for(via));
                 }
@@ -743,7 +695,7 @@ impl<'a> Synth<'a> {
         // (Theorem-1 refutation vs. a plain non-threshold answer).
         let mut refuted_by_t1 = false;
         if expr.support().len() <= self.config.psi {
-            let (r, via) = self.checked_threshold(expr)?;
+            let (r, via) = self.query_threshold(expr)?;
             if let Some(r) = r {
                 return self.emit_gate(&r, name_hint, path_for(via));
             }
@@ -799,7 +751,7 @@ impl<'a> Synth<'a> {
                     if gate_half.support().len() + 1 > self.config.psi {
                         continue;
                     }
-                    if let (Some(r), _) = self.checked_threshold(gate_half)? {
+                    if let (Some(r), _) = self.query_threshold(gate_half)? {
                         // The extra OR input gets weight T_pos + δ_on, which
                         // must also respect the dynamic-range cap.
                         let (_, w_extra) = theorem2_extend(&r, Var(u32::MAX), self.config);
@@ -836,6 +788,33 @@ impl<'a> Synth<'a> {
                 self.or_gate(children, name_hint, split_path)
             }
         }
+    }
+}
+
+/// The error for a gate prototype the configuration cannot realize: under
+/// a `weight_cap` it names the cap; without one it is a synthesizer bug.
+pub(crate) fn unrealizable(config: &TelsConfig, gate: &str) -> SynthError {
+    match config.weight_cap {
+        Some(cap) => SynthError::Config(format!(
+            "weight cap {cap} cannot realize the {gate} gate (delta_on {}, delta_off {})",
+            config.delta_on, config.delta_off
+        )),
+        None => SynthError::Internal(format!("the {gate} gate is not a threshold function")),
+    }
+}
+
+/// Names a gate prototype in error messages: a buffer or inverter, or a
+/// `k`-input AND or OR (inputs of either phase).
+fn describe(proto: &Sop) -> String {
+    let k = proto.support().len();
+    match proto.cubes() {
+        [c] if k == 1 => match c.literals().next() {
+            Some((_, true)) => "buffer".to_string(),
+            _ => "inverter".to_string(),
+        },
+        [_] => format!("{k}-input AND"),
+        cubes if cubes.iter().all(|c| c.literal_count() == 1) => format!("{k}-input OR"),
+        _ => format!("`{proto}`"),
     }
 }
 

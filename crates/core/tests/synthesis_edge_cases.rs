@@ -174,14 +174,15 @@ fn larger_delta_off_grows_margins_and_area() {
     .unwrap();
     assert!(wide.area() >= default.area());
     assert_eq!(wide.verify_against(&net, 14, 64, 0).unwrap(), None);
-    let bad = std::panic::catch_unwind(|| {
-        TelsConfig {
-            delta_off: 0,
-            ..TelsConfig::default()
-        }
-        .assert_valid()
-    });
-    assert!(bad.is_err(), "delta_off = 0 must be rejected");
+    let bad = TelsConfig {
+        delta_off: 0,
+        ..TelsConfig::default()
+    };
+    assert!(bad.validate().is_err(), "delta_off = 0 must be rejected");
+    assert!(matches!(
+        synthesize(&net, &bad),
+        Err(tels_core::SynthError::Config(_))
+    ));
 }
 
 #[test]

@@ -36,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 mod bitset;
 pub mod blif;
 mod cube;

@@ -58,7 +58,7 @@ use tels_metrics::{instruments as metrics, FlightRecorder};
 use tels_trace::json::Json;
 use tels_trace::Histogram;
 
-use protocol::{error_reply, parse_request, validate_config, JobRequest, Request};
+use protocol::{error_reply, parse_request, JobRequest, Request};
 
 /// Daemon construction options.
 #[derive(Debug, Clone, Default)]
@@ -255,7 +255,6 @@ impl ServeSession {
 
     fn run_job(&self, req: &JobRequest) -> Result<(ThresholdNetwork, SynthStats), String> {
         let setup_t0 = tels_metrics::enabled().then(Instant::now);
-        validate_config(&req.config)?;
         let net = blif::parse_reader(req.blif.as_bytes()).map_err(|e| format!("blif: {e}"))?;
         // Mirror one-shot `tels synth`: factor by default, synthesize the
         // prepared network, verify (when asked) against the *original*.
@@ -280,9 +279,8 @@ impl ServeSession {
             result
         };
         finish((|| {
-            // Applies the one-shot cache-engagement gate internally, so
-            // sub-threshold jobs reproduce the uncached one-shot flow
-            // bit-for-bit.
+            // Decides every query in canonical space, so the shared cache
+            // reproduces the one-shot flow bit-for-bit.
             let (tn, stats) = synthesize_with_shared_caches(&prepared, config, &cache, &neg)
                 .map_err(|e| e.to_string())?;
             if req.verify {
@@ -506,18 +504,14 @@ mod tests {
     use super::*;
     use tels_core::TelsConfig;
 
-    /// BLIF text of the smallest suite circuit that still engages the
-    /// cache under the default config (>= `parallel_min_nodes` logic nodes
-    /// *after* `script_algebraic` — the count the engagement gate sees).
+    /// BLIF text of the first suite circuit with at least eight logic
+    /// nodes after `script_algebraic`: big enough that a job issues
+    /// repeated threshold queries and populates the shared cache.
     fn big_blif() -> String {
-        let min = TelsConfig::default().parallel_min_nodes;
         let bench = tels_circuits::paper_suite()
             .into_iter()
-            .find(|b| {
-                let p = script_algebraic(&b.network);
-                p.node_ids().filter(|&n| !p.is_input(n)).count() >= min
-            })
-            .expect("paper suite must contain a cache-engaging circuit");
+            .find(|b| script_algebraic(&b.network).num_logic_nodes() >= 8)
+            .expect("paper suite must contain an eight-node circuit");
         blif::write(&bench.network)
     }
 
@@ -622,6 +616,40 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(2)
         );
+    }
+
+    /// A weight cap too small for the gates the flow must emit is an
+    /// error reply, not a panic, and the session keeps serving.
+    #[test]
+    fn weight_cap_too_small_is_an_error_reply() {
+        let s = session();
+        for cap_config in [
+            Json::obj([("weight_cap", Json::Num(1.0))]),
+            Json::obj([
+                ("psi", Json::Num(5.0)),
+                ("delta_on", Json::Num(1.0)),
+                ("weight_cap", Json::Num(4.0)),
+            ]),
+        ] {
+            let req = Json::obj([
+                ("op", Json::str("synth")),
+                ("id", Json::Num(7.0)),
+                ("blif", Json::str(big_blif())),
+                ("config", cap_config),
+            ]);
+            let (reply, shutdown) = s.handle(&req);
+            assert!(!shutdown);
+            assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply}");
+            let error = reply.get("error").and_then(Json::as_str).expect("error");
+            assert!(error.contains("weight cap"), "{error}");
+            assert!(error.contains("cannot realize"), "{error}");
+        }
+        let good = Json::obj([("op", Json::str("synth")), ("blif", Json::str(big_blif()))]);
+        let (reply, _) = s.handle(&good);
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
+        let stats = s.stats_json();
+        assert_eq!(stats.get("jobs_failed").and_then(Json::as_u64), Some(2));
+        assert_eq!(stats.get("jobs_ok").and_then(Json::as_u64), Some(1));
     }
 
     #[test]

@@ -158,24 +158,6 @@ pub enum Request {
     Shutdown,
 }
 
-/// Non-panicking configuration validation (wire requests must never be
-/// able to trip the library's `assert_valid`).
-pub fn validate_config(config: &TelsConfig) -> Result<(), String> {
-    if config.psi < 2 {
-        return Err("psi must be at least 2".to_string());
-    }
-    if config.delta_on < 0 {
-        return Err("delta_on must be non-negative".to_string());
-    }
-    if config.delta_off < 1 {
-        return Err("delta_off must be at least 1".to_string());
-    }
-    if config.weight_cap.is_some_and(|cap| cap < 1) {
-        return Err("weight_cap must be at least 1".to_string());
-    }
-    Ok(())
-}
-
 fn field_u64(doc: &Json, key: &str) -> Result<Option<u64>, String> {
     match doc.get(key) {
         None | Some(Json::Null) => Ok(None),
@@ -232,9 +214,6 @@ fn parse_config(doc: &Json) -> Result<TelsConfig, String> {
     if let Some(v) = field_bool(doc, "use_tier05")? {
         config.use_tier05 = v;
     }
-    if let Some(v) = field_u64(doc, "parallel_min_nodes")? {
-        config.parallel_min_nodes = v as usize;
-    }
     match doc.get("strategy").and_then(Json::as_str) {
         None => {}
         Some("paper") => config.strategy = SynthStrategy::PaperBackward,
@@ -247,7 +226,7 @@ fn parse_config(doc: &Json) -> Result<TelsConfig, String> {
         Some("halves") => config.split_heuristic = SplitHeuristic::Halves,
         Some(other) => return Err(format!("unknown split heuristic `{other}`")),
     }
-    validate_config(&config)?;
+    config.validate().map_err(|e| e.to_string())?;
     Ok(config)
 }
 
@@ -326,9 +305,6 @@ pub fn synth_request_json(req: &JobRequest) -> Json {
     }
     if let Some(cap) = c.weight_cap {
         num("weight_cap", cap as f64);
-    }
-    if c.parallel_min_nodes != d.parallel_min_nodes {
-        num("parallel_min_nodes", c.parallel_min_nodes as f64);
     }
     for (key, ours, default) in [
         ("use_cache", c.use_cache, d.use_cache),

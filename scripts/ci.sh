@@ -37,8 +37,7 @@ echo "==> synth_pipeline smoke (consistency gates)"
 # scaling leg: a 10k+-node generated circuit streamed through parse →
 # factor → synth → verify (streaming parse byte-identical to the string
 # parser, stage timings gated loosely against the committed baseline to
-# catch accidentally-quadratic regressions) plus the structural-hashing
-# shrink assertion on the duplicated-logic ALU array.
+# catch accidentally-quadratic regressions).
 cargo run --release -p tels-bench --bin synth_pipeline --quiet -- --quick
 
 echo "==> serve_pipeline smoke (daemon throughput + determinism gates)"
@@ -123,7 +122,8 @@ trap 'rm -rf "$smoke_dir"' EXIT
 echo "==> differential fuzz (quick budget) + corpus replay"
 # 500 seeded cases through the full oracle matrix (streaming-vs-string
 # BLIF parse identity, script_algebraic equivalence and determinism,
-# tier-0/tier-0.5/cache/trace/metrics/serve determinism, synthesis and
+# .tnet byte identity with tier-0, tier-0.5, the cache, tracing and
+# metrics each on vs off and for serve vs one-shot, synthesis and
 # one-to-one correctness vs the source),
 # then every committed reproducer in tests/corpus/ — each is a past
 # failure that must stay fixed forever. Any new counterexample is shrunk

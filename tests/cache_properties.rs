@@ -1,13 +1,14 @@
 //! Properties of the canonical realization cache: cached answers must be
-//! exact after remapping, and repeated runs must agree on both the
-//! synthesized network and every run counter.
+//! exact after remapping, repeated runs must agree on both the synthesized
+//! network and every run counter, and the cache on or off must not change
+//! a byte of the output.
 
 use tels::circuits::{comparator, lfsr_cone, random_network, ripple_adder, RandomNetOptions};
 use tels::logic::opt::script_algebraic;
 use tels::logic::rng::Xoshiro256;
 use tels::logic::{Cube, Network, Sop, Var};
 use tels::trace::json::Json;
-use tels::{check_threshold, synthesize_with_stats, Realization, TelsConfig};
+use tels::{check_threshold, synthesize_with_stats, Realization, SynthStats, TelsConfig};
 
 /// Exhaustively validates a realization against the function it claims to
 /// compute.
@@ -99,48 +100,113 @@ fn synthesis_counters_are_deterministic() {
     }
 }
 
-/// Cache on and cache off may pick different (but equally exact) gate
-/// weights; both must realize the source network.
+/// Statistics fields a realization cache legitimately moves: each cache
+/// hit replaces one fresh decision (a Theorem-1 refutation, a tier-0.5
+/// answer or negative-cache hit, a pre-filter rejection, or an ILP solve),
+/// and the solves it saves take their solver counters with them.
+const CACHE_DEPENDENT: [&str; 10] = [
+    "cache_hits",
+    "theorem1_refutations",
+    "prefilter_rejections",
+    "ilp_solves",
+    "ilp_avoided",
+    "tier05_hits",
+    "tier05_rejects",
+    "negcache_hits",
+    "chow_merged_vars",
+    "int_fast_path_solves",
+];
+
+/// `without_timings`, additionally dropping the [`CACHE_DEPENDENT`]
+/// fields and the rational-fallback count (a solve-side counter like the
+/// integer fast path's).
+fn query_stream_counters(j: Json) -> Json {
+    match without_timings(j) {
+        Json::Obj(fields) => Json::Obj(
+            fields
+                .into_iter()
+                .filter(|(k, _)| {
+                    !CACHE_DEPENDENT.contains(&k.as_str()) && k != "rational_fallbacks"
+                })
+                .map(|(k, v)| (k, query_stream_counters(v)))
+                .collect(),
+        ),
+        other => other,
+    }
+}
+
+/// Every query the cache answers is a query the cache-less run decides
+/// fresh: the decision tallies plus the cache hits are conserved.
+fn decisions(s: &SynthStats) -> usize {
+    s.cache_hits
+        + s.theorem1_refutations
+        + s.prefilter_rejections
+        + s.ilp_solves
+        + s.solver.tier05_hits
+        + s.solver.tier05_rejects
+        + s.solver.negcache_hits
+}
+
+/// The cache is a pure memoization: with it on and off, synthesis emits
+/// the same `.tnet` bytes and issues the same query stream (same query
+/// count, collapses, splits, combines, tier-0 lookups, support histogram).
+/// Only the cache hits — and the fresh decisions each one replaces —
+/// differ. Covers ψ ∈ {3, 5, 8} at δ_on ∈ {0, 2} plus one weight-capped
+/// run, where tier 0 disengages and the cache answers the most queries.
 #[test]
-fn cached_synthesis_matches_uncached_functionally() {
+fn cached_synthesis_matches_uncached_bytes() {
     let mut nets = random_nets();
     nets.push(ripple_adder(4));
     nets.push(comparator(4));
+    let mut configs: Vec<TelsConfig> = [3, 5, 8]
+        .into_iter()
+        .flat_map(|psi| {
+            [0, 2].map(|delta_on| TelsConfig {
+                psi,
+                delta_on,
+                ..TelsConfig::default()
+            })
+        })
+        .collect();
+    configs.push(TelsConfig {
+        psi: 4,
+        weight_cap: Some(6),
+        ..TelsConfig::default()
+    });
+    let mut hits = 0;
     for net in &nets {
         let prepared = script_algebraic(net);
-        for psi in [3, 5] {
-            let cached = TelsConfig {
-                psi,
-                use_cache: true,
-                // The suite includes circuits below the default engagement
-                // gate; force the cache on — it is what is under test.
-                parallel_min_nodes: 0,
-                ..TelsConfig::default()
-            };
+        for cached in &configs {
             let uncached = TelsConfig {
-                psi,
                 use_cache: false,
-                ..TelsConfig::default()
+                ..cached.clone()
             };
-            let (tn_c, stats_c) = synthesize_with_stats(&prepared, &cached).expect("cached");
+            let tag = format!(
+                "{} at psi={} delta_on={} weight_cap={:?}",
+                net.model(),
+                cached.psi,
+                cached.delta_on,
+                cached.weight_cap
+            );
+            let (tn_c, stats_c) = synthesize_with_stats(&prepared, cached).expect("cached");
             let (tn_u, stats_u) = synthesize_with_stats(&prepared, &uncached).expect("uncached");
+            assert_eq!(tn_c.to_tnet(), tn_u.to_tnet(), "{tag}: bytes differ");
             assert_eq!(
                 tn_c.verify_against(net, 14, 2048, 0xC0FE).expect("sim"),
                 None,
-                "cached synthesis diverged from the source network"
+                "{tag}: synthesis diverged from the source network"
             );
             assert_eq!(
-                tn_u.verify_against(net, 14, 2048, 0xC0FE).expect("sim"),
-                None,
-                "uncached synthesis diverged from the source network"
+                query_stream_counters(stats_c.to_json()).to_string(),
+                query_stream_counters(stats_u.to_json()).to_string(),
+                "{tag}: the query stream differs"
             );
-            // Theorem-1 refutations are tallied identically on both paths,
-            // so the two emission passes issue the same query count — and
-            // the cached one must answer some without the solver.
-            assert_eq!(stats_c.ilp_calls, stats_u.ilp_calls);
-            assert!(stats_c.ilp_avoided() > 0, "cache never hit");
+            assert_eq!(stats_u.cache_hits, 0, "{tag}: cache off yet hit");
+            assert_eq!(decisions(&stats_c), decisions(&stats_u), "{tag}");
+            hits += stats_c.cache_hits;
         }
     }
+    assert!(hits > 0, "the cache never hit");
 }
 
 /// A cache hit after renaming and phase flips must reproduce exactly the

@@ -97,10 +97,7 @@ fn perturb_failure_rate_is_deterministic() {
         seed: 7,
         threads: 1,
     };
-    let cfg = TelsConfig {
-        parallel_min_nodes: 0,
-        ..TelsConfig::default()
-    };
+    let cfg = TelsConfig::default();
     let mut rates = Vec::new();
     for _ in 0..2 {
         let tn = synthesize(&net, &cfg).unwrap();
